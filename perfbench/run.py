@@ -47,17 +47,22 @@ def import_program() -> None:
 
 
 def timed_rounds(workload, units, seconds: float, rec) -> None:
-    """Whole rounds for about `seconds`: the first round's wall time sets
-    how many follow."""
-
-    def one(r: int) -> None:
+    """Whole rounds for about `seconds`: as many as fit in it at the
+    workload's nominal round length on the reference machine, so that
+    every run of a given length does the same work. A count set by the
+    time rounds take made a run two rounds on one seed and three on the
+    next whenever a round took about a third or half of the run, and its
+    probe sampled fewer moments. A workload may also time work of its
+    own before each round and after the last."""
+    between = getattr(workload, "between_rounds", None)
+    for r in range(max(1, round(seconds / workload.nominal_round_s))):
+        if between:
+            between(units, rec)
         started = time.perf_counter()
         workload.round(units, r, rec)
         rec.round_s.append(time.perf_counter() - started)
-
-    one(0)
-    for r in range(1, max(1, round(seconds / rec.round_s[0]))):
-        one(r)
+    if between:
+        between(units, rec)
 
 
 def traced_rounds(workload, units, seconds: float, untraced, traced, tracer) -> tuple[list, int]:
@@ -91,14 +96,15 @@ def end_to_end(name: str, units, setup_s: list, rec) -> dict:
     """The end-to-end figures.
 
     Calls whose work is the same in every run (predict calls on fixed
-    models, the serve models' trainings on fixed data) report the
-    fastest call: other tenants of the host slow this process by 1.1x to
-    1.8x in stretches of tens of seconds; over 20-second windows a fixed
-    loop's median moved by 32% and its fastest call by 7%. Fits of seeded
+    models, serve's small fixed fits) report the fastest of many short
+    calls: other tenants of the host slow this process by 1.1x to 1.8x
+    from moment to moment, and over 20-second windows the mean of a fixed
+    loop moved by 19% (quartile spread), the fastest of its 14 ms calls by
+    7% and the fastest of its 1.1 s blocks by 17%. Fits of seeded
     datasets report their mean, set-up and rounds their median.
     """
     if name == "serve":
-        fit_s = min(unit["fit_s"] for unit in units)
+        fit_s = min(rec.fit_s)
     else:
         fit_s = statistics.fmean(rec.fit_s)
     round_s = rec.main_s if name == "bench" else rec.round_s

@@ -90,21 +90,18 @@ def test_fit_check_catches_a_corrupted_coefficient(small_fit, tmp_path):
 
 
 def served(tmp_path, model_path, X):
-    query = tmp_path / "query.csv"
-    workloads.write_features(str(query), X)
     unit = workloads.Served(
         model=persistence.load_model(model_path),
         model_path=str(model_path),
         X=X,
-        query_csv=str(query),
-        out_csv=str(tmp_path / "predictions.csv"),
-        batch_calls=1,
+        chunks=workloads.write_chunks(X, str(tmp_path), "test", rows=150),
+        batch_calls=2,
         single_rows=workloads.single_rows(X.shape[0], 50),
-        file_calls=1,
     )
     rec = workloads.Record()
     unit.serve(rec)
-    assert rec.failed == 0 and rec.attempted == 52
+    assert len(unit.chunks) > 1
+    assert rec.failed == 0 and rec.attempted == 2 + 50 + len(unit.chunks)
     return unit
 
 
@@ -124,10 +121,11 @@ def test_serve_checks_pass_and_catch_a_corrupted_prediction(small_fit, tmp_path)
 def test_serve_check_catches_a_corrupted_csv(small_fit, tmp_path):
     model, path, _, _, X_fresh, _, _ = small_fit
     unit = served(tmp_path, path, X_fresh)
-    with open(unit.out_csv) as fh:
+    _, out_csv, _ = unit.chunks[-1]
+    with open(out_csv) as fh:
         lines = fh.readlines()
     lines[10] = "0.5\n"
-    with open(unit.out_csv, "w") as fh:
+    with open(out_csv, "w") as fh:
         fh.writelines(lines)
     assert unit.check(model.predict(X_fresh)) == ["CSV written by rulemix predict differs from in-memory predictions"]
 

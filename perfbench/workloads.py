@@ -89,39 +89,44 @@ def plain_call(name, fn, *args):
 @dataclass
 class Served:
     """One saved model and the query it is served: batch, single-row and
-    `rulemix predict` calls. The outputs of the latest calls are kept for
-    the checks."""
+    `rulemix predict` calls. The query is also written as CSV chunks of
+    CHUNK_ROWS rows, one `rulemix predict` call each. The outputs of the
+    latest calls are kept for the checks."""
 
     model: object
     model_path: str
     X: np.ndarray
-    query_csv: str
-    out_csv: str
+    chunks: list
+    """(query CSV, output CSV, rows) per chunk, in row order."""
     batch_calls: int
     single_rows: np.ndarray
-    file_calls: int
     batch: np.ndarray | None = None
     singles: np.ndarray | None = None
 
     def serve(self, rec: Record, call=plain_call) -> None:
+        """batch_calls steps, each one batch call and an equal share of
+        the single-row and file calls, so that every kind of call samples
+        the whole stretch of time the serve takes."""
         rows = self.X.shape[0]
-        for _ in range(self.batch_calls):
+        single_steps = np.array_split(self.single_rows, self.batch_calls)
+        chunk_steps = np.array_split(np.arange(len(self.chunks)), self.batch_calls)
+        singles = []
+        for step_rows, step_chunks in zip(single_steps, chunk_steps):
             prediction, seconds = rec.op(self.model.predict, self.X)
             if prediction is not None:
                 self.batch = prediction
                 rec.batch_rows_per_s.append(rows / seconds)
-        singles = []
-        for row in self.single_rows:
-            prediction, seconds = rec.op(self.model.predict, self.X[row : row + 1])
-            if prediction is not None:
-                singles.append(prediction[0])
-                rec.single_us.append(seconds * 1e6)
+            for row in step_rows:
+                prediction, seconds = rec.op(self.model.predict, self.X[row : row + 1])
+                if prediction is not None:
+                    singles.append(prediction[0])
+                    rec.single_us.append(seconds * 1e6)
+            for c in step_chunks:
+                query_csv, out_csv, chunk_rows = self.chunks[c]
+                seconds = rec.cli(call, "cli.predict", ["predict", self.model_path, query_csv, "--out", out_csv])
+                if seconds is not None:
+                    rec.file_rows_per_s.append(chunk_rows / seconds)
         self.singles = np.array(singles)
-        argv = ["predict", self.model_path, self.query_csv, "--out", self.out_csv]
-        for _ in range(self.file_calls):
-            seconds = rec.cli(call, "cli.predict", argv)
-            if seconds is not None:
-                rec.file_rows_per_s.append(rows / seconds)
 
     def warm_up(self, work: str) -> None:
         """One untimed call into each path serve() times."""
@@ -139,8 +144,25 @@ class Served:
         if reference_batch is None:
             reference_batch = persistence.load_model(self.model_path).predict(self.X)
         doc = oracles.ModelDoc(self.model_path)
-        written = oracles.read_prediction_csv(self.out_csv)
+        written = np.concatenate([oracles.read_prediction_csv(out_csv) for _, out_csv, _ in self.chunks])
         return oracles.check_served(doc, self.X, self.batch, self.single_rows, self.singles, written, reference_batch)
+
+
+CHUNK_ROWS = 2_000
+"""Rows per `rulemix predict` call: about 20 ms of work, so that the
+fastest of many calls finds the moments the shared host leaves this
+process alone (see README, "Machine and environment")."""
+
+
+def write_chunks(X: np.ndarray, work: str, prefix: str, rows: int = CHUNK_ROWS) -> list:
+    """Write X as CSV chunks of about `rows` rows each; returns (query
+    CSV, output CSV, rows) per chunk."""
+    chunks = []
+    for c, part in enumerate(np.array_split(X, max(1, round(X.shape[0] / rows)))):
+        query_csv = os.path.join(work, f"{prefix}-query{c}.csv")
+        write_features(query_csv, part)
+        chunks.append((query_csv, os.path.join(work, f"{prefix}-predictions{c}.csv"), part.shape[0]))
+    return chunks
 
 
 def single_rows(n: int, count: int) -> np.ndarray:
@@ -204,44 +226,71 @@ WARM_UP = {"n_iter": 1, "es": {"n_rules": 1}, "ga": {"generations": 1}}
 PROBE_SEED = 7
 PROBE_CONFIG = {"n_iter": 2, "es": {"n_rules": 4}, "ga": {"generations": 4}}
 PROBE_ROWS = 600
-PROBE_SIZES = (8, 200, 2)
-"""Batch calls, single-row calls and `rulemix predict` calls per half round."""
+PROBE_QUERY_ROWS = 40_000
+PROBE_SIZES = (12, 2500)
+"""Batch calls and single-row calls per pass of the probe; the query
+rows also go through `rulemix predict` once per pass, in chunks. A pass
+takes about a second, so that the fastest call of each kind is likely to
+meet a moment when other tenants of the host leave this process alone."""
 
 
-def probe(seed: int, k: int, work: str, batch_calls: int, singles: int, file_calls: int) -> Served:
-    """Train and save the probe model, write its query CSV, warm it up."""
+def probe_data():
     sample = piecewise_4d(PROBE_SEED)
     X, y = sample(np.random.default_rng(PROBE_SEED), PROBE_ROWS)
+    return sample, X, y
+
+
+def probe(seed: int, k: int, work: str, batch_calls: int, singles: int) -> Served:
+    """Train and save the probe model, write its query CSVs, warm it up."""
+    sample, X, y = probe_data()
     model = fit(X, y, config_from_dict(PROBE_CONFIG, LearnerConfig(master_seed=PROBE_SEED)))
-    X_query, _ = sample(np.random.default_rng(sub_seed(seed, k, 9)), FRESH_ROWS)
+    X_query, _ = sample(np.random.default_rng(sub_seed(seed, k, 9)), PROBE_QUERY_ROWS)
     served = Served(
         model=model,
         model_path=os.path.join(work, f"probe-model{k}.json"),
         X=X_query,
-        query_csv=os.path.join(work, f"probe-query{k}.csv"),
-        out_csv=os.path.join(work, f"probe-predictions{k}.csv"),
+        chunks=write_chunks(X_query, work, f"probe{k}"),
         batch_calls=batch_calls,
-        single_rows=single_rows(FRESH_ROWS, singles),
-        file_calls=file_calls,
+        single_rows=single_rows(PROBE_QUERY_ROWS, singles),
     )
     persistence.save_model(model, served.model_path)
-    write_features(served.query_csv, X_query)
     served.warm_up(work)
     return served
+
+
+PROBE_FIT = {
+    "n_iter": 1,
+    "es": {"n_rules": 1, "lambda_": 8, "delta": 2},
+    "ga": {"generations": 2, "population_size": 8, "n_elitists": 2},
+}
+PROBE_FITS = 40
+"""Fits of PROBE_FIT on the probe data (about 11 ms each, every stage of
+a fit on a tiny scale) that serve times before each round and after the
+last."""
 
 
 # -- fit_1d and fit_4d ----------------------------------------------------
 
 
 class FitWorkload:
-    """One fit per round, with the probe serving its queries before and
-    after it, so that probe samples come from two stretches of time."""
+    """One fit per round, with the probe serving its queries
+    `probe_passes` times before and after it, so that probe samples come
+    from two stretches of time. fit_1d's fits take 10 to 14 s, so its
+    probe gets two passes: its samples fall in only three stretches of a
+    run, and with one pass each its fastest `rulemix predict` call spread
+    32% over ten runs while the host was slow."""
 
-    def __init__(self, units, config: dict, make_data, mse_share: float):
+    def __init__(self, units, config: dict, make_data, mse_share: float, nominal_round_s: float, probe_passes: int):
         self.units = units
         self.config = config
         self.make_data = make_data
         self.mse_share = mse_share
+        self.nominal_round_s = nominal_round_s
+        self.probe_passes = probe_passes
+
+    def probe_half(self, unit: dict, rec: Record, call) -> None:
+        for _ in range(self.probe_passes):
+            unit["probe"].serve(rec, call)
 
     def setup(self, seed: int, k: int, work: str) -> dict:
         X, y, sample = self.make_data(sub_seed(seed, k, 0))
@@ -255,14 +304,14 @@ class FitWorkload:
 
     def round(self, units: list, r: int, rec: Record, call=plain_call) -> None:
         unit = units[r % len(units)]
-        unit["probe"].serve(rec, call)
+        self.probe_half(unit, rec, call)
         model, seconds = rec.op(call, "fit", fit, unit["X"], unit["y"], unit["config"])
         if model is not None:
             rec.fit_s.append(seconds)
             rec.main_s.append(seconds)
             unit["model"] = model
             persistence.save_model(model, unit["model_path"])
-        unit["probe"].serve(rec, call)
+        self.probe_half(unit, rec, call)
 
     def check(self, units: list) -> list[str]:
         problems = []
@@ -306,51 +355,59 @@ SERVE_OUTSIDE_ROWS = 1_000
 
 
 class ServeWorkload:
-    """Three trained 4-d models served from their files; no training in
-    the timed part. The models are the same in every run (their training
-    data does not depend on the workload seed), so the work per query row
-    is too; the seed makes the query rows."""
+    """Three trained 4-d models served from their files, one per round;
+    no training in the timed part. The models are the same in every run
+    (their training data does not depend on the workload seed), so the
+    work per query row is too; the seed makes the query rows."""
 
     units = 3
+    nominal_round_s = 3.3
 
     def setup(self, seed: int, k: int, work: str) -> dict:
         sample = piecewise_4d(sub_seed(SERVE_MODEL_SEED, k, 0))
         X, y = sample(np.random.default_rng(sub_seed(SERVE_MODEL_SEED, k, 1)), SERVE_TRAIN_ROWS)
         config = config_from_dict(SERVE_CONFIG, LearnerConfig(master_seed=sub_seed(SERVE_MODEL_SEED, k, 2)))
-        started = time.perf_counter()
         trained = fit(X, y, config)
-        fit_seconds = time.perf_counter() - started
         model_path = os.path.join(work, f"model{k}.json")
         persistence.save_model(trained, model_path)
         rng = np.random.default_rng(sub_seed(seed, k, 3))
         inside = rng.uniform(0.0, 1.0, size=(SERVE_QUERY_ROWS - SERVE_OUTSIDE_ROWS, 4))
         outside = rng.uniform(1.25, 1.5, size=(SERVE_OUTSIDE_ROWS, 4))
         X_query = np.vstack([inside, outside])
-        query_csv = os.path.join(work, f"query{k}.csv")
-        write_features(query_csv, X_query)
         served = Served(
             model=persistence.load_model(model_path),
             model_path=model_path,
             X=X_query,
-            query_csv=query_csv,
-            out_csv=os.path.join(work, f"predictions{k}.csv"),
-            batch_calls=4,
-            single_rows=single_rows(SERVE_QUERY_ROWS, 400),
-            file_calls=1,
+            chunks=write_chunks(X_query, work, f"serve{k}"),
+            batch_calls=8,
+            single_rows=single_rows(SERVE_QUERY_ROWS, 1000),
         )
         served.warm_up(work)
-        return {"served": served, "trained": trained, "fit_s": fit_seconds}
+        return {"served": served, "trained": trained}
 
     def round(self, units: list, r: int, rec: Record, call=plain_call) -> None:
         started = time.perf_counter()
-        for unit in units:
-            unit["served"].serve(rec, call)
+        units[r % len(units)]["served"].serve(rec, call)
         rec.main_s.append(time.perf_counter() - started)
+
+    def between_rounds(self, units: list, rec: Record) -> None:
+        """PROBE_FITS small fixed fits, outside the rounds so that no
+        timed round trains: serve's fit_s is the fastest of these. Short
+        and made between all rounds, they sample the whole run, as the
+        fastest call must (see README, "Machine and environment")."""
+        _, X, y = probe_data()
+        config = config_from_dict(PROBE_FIT, LearnerConfig(master_seed=PROBE_SEED))
+        for _ in range(PROBE_FITS):
+            model, seconds = rec.op(fit, X, y, config)
+            if model is not None:
+                rec.fit_s.append(seconds)
 
     def check(self, units: list) -> list[str]:
         problems = []
         for unit in units:
             served = unit["served"]
+            if served.batch is None:
+                continue
             problems += served.check(unit["trained"].predict(served.X))
         return problems
 
@@ -375,6 +432,7 @@ class BenchWorkload:
     the probe serving its queries before and after it."""
 
     units = 3
+    nominal_round_s = 10.0
 
     def setup(self, seed: int, k: int, work: str) -> dict:
         unit_dir = os.path.join(work, f"bench{k}")
@@ -439,8 +497,10 @@ class BenchWorkload:
 
 
 WORKLOADS = {
-    "fit_1d": FitWorkload(3, {}, data_1d, mse_share=0.05),
-    "fit_4d": FitWorkload(4, {"n_iter": 2, "es": {"n_rules": 8}, "ga": {"generations": 8}}, data_4d, mse_share=0.25),
+    "fit_1d": FitWorkload(3, {}, data_1d, mse_share=0.05, nominal_round_s=10.0, probe_passes=2),
+    "fit_4d": FitWorkload(
+        3, {"n_iter": 2, "es": {"n_rules": 8}, "ga": {"generations": 8}}, data_4d, mse_share=0.25, nominal_round_s=6.5, probe_passes=1
+    ),
     "serve": ServeWorkload(),
     "bench": BenchWorkload(),
 }
