@@ -99,9 +99,10 @@ def _execute_task(task) -> tuple[tuple[str, int, int], RunRecord | None, str | N
     key = (dataset_name, seed_index, split_index)
     try:
         return key, _execute_run(dataset_name, X, y, seed_index, split_index, config, benchmark_seed, test_fraction), None
-    except ValueError as exc:
-        # DataError included: bad data fails its dataset, not the benchmark
-        return key, None, str(exc)
+    except Exception as exc:
+        # bad data (DataError) or a runtime fault in one run fails its
+        # dataset, not the whole benchmark
+        return key, None, str(exc) or type(exc).__name__
 
 
 def run_benchmark(
@@ -115,8 +116,9 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Train and score every dataset n_seeds * n_splits times.
 
-    A data error fails its whole dataset (recorded in failures) while
-    the remaining datasets still run. Records come back sorted by
+    An error in any run of a dataset, bad data or a runtime fault, fails
+    that whole dataset (recorded in failures) while the remaining
+    datasets still run. Records come back sorted by
     (dataset order, seed index, split index) regardless of jobs.
     """
     if config is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -142,7 +143,7 @@ def _read_feature_csv(path: str, expected_dim: int) -> np.ndarray:
                 values = [float(cell) for cell in row]
             except ValueError:
                 raise DataError(f"{path}: non-numeric value at row {line_no}") from None
-            if not all(np.isfinite(v) for v in values):
+            if not all(math.isfinite(v) for v in values):
                 raise DataError(f"{path}: non-finite value at row {line_no}")
             rows.append(values)
     if not rows:

@@ -69,34 +69,40 @@ def _frozen_genome(genome) -> np.ndarray:
 
 
 class PoolEvaluator:
-    """Per-rule match masks, outputs, and weights precomputed on one
-    training set, so genome evaluations reduce to masked additions.
+    """Every rule's mixing terms precomputed on one training set, so a
+    genome evaluation is two row sums.
 
-    The accumulation runs in pool-index order with the exact same
-    operations as mixing the rules directly, so a cached evaluation and
-    a from-scratch one agree bit for bit.
+    Rule fitnesses do not depend on each other, so a fitted rule's
+    match set, output and mixing weight never change. Each rule is
+    stored as two dense rows over the training set: its weighted output
+    and its weight on the rows it matches, 0.0 on the rows it does not.
+    Summing the selected rows in pool-index order from 0.0 performs the
+    same float additions as mixing the rules directly (adding 0.0 to a
+    sum leaves it unchanged), so an evaluation here agrees with
+    mix_predict bit for bit.
+
+    Evaluations are cached on (params, genome bytes) for the life of the
+    evaluator: a repeated genome returns the same SolutionIndividual.
     """
 
     def __init__(self, pool: Pool, X: np.ndarray, y: np.ndarray):
         self.pool_size = len(pool)
         self.y = y
         self.n = X.shape[0]
-        self.masks = []
-        self.weighted_outputs = []
-        self.weights = []
-        for rule in pool:
+        # C order: reducing over axis 0 adds whole rows one after another
+        self.weighted_outputs = np.zeros((self.pool_size, self.n))
+        self.weights = np.zeros((self.pool_size, self.n))
+        for index, rule in enumerate(pool):
             weight = rule.experience / (rule.in_sample_mse + MIX_EPS)
-            self.masks.append(match_mask(rule.lower, rule.upper, X))
-            self.weighted_outputs.append(weight * (X @ rule.coefficients + rule.intercept))
-            self.weights.append(weight)
+            mask = match_mask(rule.lower, rule.upper, X)
+            self.weighted_outputs[index, mask] = (weight * (X @ rule.coefficients + rule.intercept))[mask]
+            self.weights[index, mask] = weight
+        self._cache: dict[tuple[FitnessParams, bytes], SolutionIndividual] = {}
 
     def predictions(self, genome: np.ndarray) -> np.ndarray:
-        numerator = np.zeros(self.n)
-        denominator = np.zeros(self.n)
-        for index in np.flatnonzero(genome):
-            mask = self.masks[index]
-            numerator[mask] += self.weighted_outputs[index][mask]
-            denominator[mask] += self.weights[index]
+        selected = np.asarray(genome, dtype=bool)
+        numerator = np.add.reduce(self.weighted_outputs[selected], axis=0, initial=0.0)
+        denominator = np.add.reduce(self.weights[selected], axis=0, initial=0.0)
         predictions = np.zeros(self.n)
         np.divide(numerator, denominator, out=predictions, where=denominator > 0)
         return predictions
@@ -105,16 +111,22 @@ class PoolEvaluator:
         genome = np.asarray(genome, dtype=bool)
         if genome.shape != (self.pool_size,):
             raise ValueError(f"genome must have one bit per pool rule ({self.pool_size}), got shape {genome.shape}")
+        key = (params, genome.tobytes())
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
         residuals = self.y - self.predictions(genome)
         mse = float(np.mean(residuals**2))
         complexity = int(np.count_nonzero(genome))
         o1, o2 = solution_objectives(mse, complexity, self.pool_size, params.beta)
-        return SolutionIndividual(
+        individual = SolutionIndividual(
             genome=_frozen_genome(genome),
             fitness=combine(o1, o2, params.alpha),
             complexity=complexity,
             in_sample_mse=mse,
         )
+        self._cache[key] = individual
+        return individual
 
 
 def evaluate_solution(genome, pool: Pool, X, y, params: FitnessParams) -> SolutionIndividual:

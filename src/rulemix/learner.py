@@ -168,7 +168,10 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
             config.solution_fitness,
             rng=spawn_rng(config.master_seed, "ga", cycle),
         )
-        assert not history or elitist.fitness >= history[-1], "best solution fitness fell between cycles"
+        if history and not elitist.fitness >= history[-1]:
+            raise RuntimeError(
+                f"best solution fitness fell between cycles: {elitist.fitness!r} < {history[-1]!r} in cycle {cycle}"
+            )
         history.append(elitist.fitness)
 
     return TrainedModel(pool=pool, elitist=elitist, transform=transform, config=config, fitness_history=history)

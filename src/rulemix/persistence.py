@@ -3,12 +3,15 @@
 Floats are serialized with Python's shortest round-trip representation,
 so a loaded model predicts bit for bit what the saved one did. Files
 declare a format_version; loading rejects versions this build does not
-know and reports structural problems by name.
+know, non-finite numbers (NaN, Infinity, overflowing literals) and rule
+bounds outside the scaled feature box, and reports structural problems
+by name.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -61,13 +64,22 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
+def _finite(numbers) -> bool:
+    """Whether every parsed JSON number is a finite float; an integer
+    literal beyond the float range is not."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:
+        return False
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ModelFormatError(f"model file is missing {where}.{key}" if where else f"model file is missing {key}")
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ModelFormatError(f"{where + '.' if where else ''}{key} must be a number")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite((value,)):
+            raise ModelFormatError(f"{where + '.' if where else ''}{key} must be a finite number")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -84,6 +96,8 @@ def _float_array(doc: dict, key: str, where: str, length: int | None = None) -> 
         raise ModelFormatError(f"{where}.{key} must contain only numbers")
     if length is not None and len(raw) != length:
         raise ModelFormatError(f"{where}.{key} must have length {length}, got {len(raw)}")
+    if not _finite(raw):
+        raise ModelFormatError(f"{where}.{key} must contain only finite numbers")
     out = np.array(raw, dtype=float)
     out.setflags(write=False)
     return out
@@ -127,8 +141,8 @@ def document_to_model(doc) -> TrainedModel:
             raise ModelFormatError(f"{where} must be an object")
         lower = _float_array(rule_doc, "lower", where, length=dim)
         upper = _float_array(rule_doc, "upper", where, length=dim)
-        if np.any(upper < lower):
-            raise ModelFormatError(f"{where} has upper < lower")
+        if ((upper < lower) | (lower < -1.0) | (upper > 1.0)).any():
+            raise ModelFormatError(f"{where} bounds must satisfy -1 <= lower <= upper <= 1")
         experience = _require(rule_doc, "experience", int, where)
         if experience < 1:
             raise ModelFormatError(f"{where}.experience must be at least 1")
@@ -174,9 +188,12 @@ def document_to_model(doc) -> TrainedModel:
 
 
 def load_model(path) -> TrainedModel:
+    def reject_constant(name: str):
+        raise ModelFormatError(f"{path}: non-finite number {name} in model file")
+
     with open(str(path)) as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=reject_constant)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     return document_to_model(doc)

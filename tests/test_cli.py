@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import rulemix.benchmark
 from rulemix import load_model
 from rulemix.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 
@@ -155,6 +156,33 @@ class TestPredict:
         features.write_text("f0\n0.5\n")
         assert main(["predict", str(bad), str(features)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity"])
+    def test_non_finite_query_cell_is_data_error(self, model_path, tmp_path, capsys, cell):
+        features = tmp_path / "query.csv"
+        features.write_text(f"f0,f1\n0.5,1.0\n1.5,2.0\n2.5,{cell}\n3.5,4.0\n")
+        code = main(["predict", str(model_path), str(features)])
+        assert code == EXIT_DATA
+        assert "non-finite value at row 4" in capsys.readouterr().err
+
+    def test_model_with_nan_coefficient_is_data_error(self, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        selected = doc["elitist"]["genome_bits"].index("1")
+        doc["pool"][selected]["coefficients"][0] = float("nan")
+        model_path.write_text(json.dumps(doc))
+        features = tmp_path / "query.csv"
+        write_feature_csv(features, np.array([[0.5, 1.0], [2.0, 3.0]]))
+        assert main(["predict", str(model_path), str(features)]) == EXIT_DATA
+        assert "NaN" in capsys.readouterr().err
+
+    def test_model_with_out_of_box_bound_is_data_error(self, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["pool"][0]["lower"][0] = -5.0
+        model_path.write_text(json.dumps(doc))
+        features = tmp_path / "query.csv"
+        write_feature_csv(features, np.array([[0.5, 1.0]]))
+        assert main(["predict", str(model_path), str(features)]) == EXIT_DATA
+        assert "-1 <= lower <= upper <= 1" in capsys.readouterr().err
+
 
 class TestInspect:
     def test_text_output(self, model_path, capsys):
@@ -255,6 +283,23 @@ class TestBenchmark:
         report = json.loads((out / "report.json").read_text())
         assert "absent" in report["failures"]
         assert {r["dataset"] for r in report["records"]} == {"good"}
+
+    def test_runtime_fault_in_one_dataset_gives_partial_exit(self, tmp_path, capsys, monkeypatch):
+        real_run = rulemix.benchmark._execute_run
+
+        def faulty_run(dataset_name, *args):
+            if dataset_name == "one":
+                raise RuntimeError("simulated fault")
+            return real_run(dataset_name, *args)
+
+        monkeypatch.setattr(rulemix.benchmark, "_execute_run", faulty_run)
+        registry = self.registry_for(tmp_path)
+        out = tmp_path / "bench"
+        code = main(self.benchmark_args(registry, out) + ["--jobs", "1"])
+        assert code == EXIT_PARTIAL
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == {"one": "simulated fault"}
+        assert [r["dataset"] for r in report["records"]] == ["two"] * 4
 
     def test_all_datasets_failing_is_data_error(self, tmp_path, capsys):
         registry = tmp_path / "registry.json"

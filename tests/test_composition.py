@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rulemix import (
     FitnessParams,
     GAConfig,
     Pool,
     PoolEvaluator,
+    Rule,
     SolutionIndividual,
     bitflip_mutate,
     combine,
@@ -108,6 +112,102 @@ class TestEvaluate:
         pool, X, y = build_pool()
         with pytest.raises(ValueError):
             evaluate_solution(np.zeros(len(pool) + 1, dtype=bool), pool, X, y, FitnessParams())
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestEvaluationCache:
+    def test_params_are_part_of_the_key(self):
+        pool, X, y = build_pool(seed=9)
+        evaluator = PoolEvaluator(pool, X, y)
+        genome = np.array([True, False, True, True, False, True])
+        loose, strict = FitnessParams(alpha=0.05), FitnessParams(alpha=0.5)
+        a = evaluator.evaluate(genome, loose)
+        b = evaluator.evaluate(genome, strict)
+        assert a.fitness != b.fitness
+        assert same_bits(a.fitness, evaluate_solution(genome, pool, X, y, loose).fitness)
+        assert same_bits(b.fitness, evaluate_solution(genome, pool, X, y, strict).fitness)
+        assert same_bits(evaluator.evaluate(genome, loose).fitness, a.fitness)
+
+    def test_repeated_genome_returns_the_same_result(self):
+        pool, X, y = build_pool(seed=10)
+        evaluator = PoolEvaluator(pool, X, y)
+        params = FitnessParams()
+        genome = np.array([False, True, True, False, False, True])
+        first = evaluator.evaluate(genome, params)
+        again = evaluator.evaluate(genome.copy(), params)
+        assert again.fitness == first.fitness
+        assert again.complexity == first.complexity
+        assert again.in_sample_mse == first.in_sample_mse
+        assert np.array_equal(again.genome, genome)
+
+    def test_cached_genome_is_not_aliased_to_the_caller(self):
+        pool, X, y = build_pool(seed=11)
+        evaluator = PoolEvaluator(pool, X, y)
+        genome = np.ones(len(pool), dtype=bool)
+        first = evaluator.evaluate(genome, FitnessParams())
+        genome[0] = False
+        assert first.genome.all()
+        assert evaluator.evaluate(genome, FitnessParams()).complexity == len(pool) - 1
+
+    @pytest.mark.parametrize("bit", [False, True])
+    def test_empty_and_full_genomes_match_one_shot_bitwise(self, bit):
+        pool, X, y = build_pool(seed=12)
+        params = FitnessParams()
+        genome = np.full(len(pool), bit)
+        evaluator = PoolEvaluator(pool, X, y)
+        for _ in range(2):  # the second call is served from the cache
+            cached = evaluator.evaluate(genome, params)
+            one_shot = evaluate_solution(genome, pool, X, y, params)
+            assert same_bits(cached.fitness, one_shot.fitness)
+            assert same_bits(cached.in_sample_mse, one_shot.in_sample_mse)
+            assert cached.complexity == one_shot.complexity == int(bit) * len(pool)
+        mse = float(np.mean((y - mix_predict(pool.selected(genome), X)) ** 2))
+        assert same_bits(cached.in_sample_mse, mse)
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def pools_and_genomes(draw):
+    """Random rules over random rows; bounds are sometimes a data row, so
+    rows on a rule's closed edge are exercised too."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 60))
+    X = draw(arrays(np.float64, (n, d), elements=unit_floats))
+    corner = arrays(np.float64, d, elements=unit_floats) | st.sampled_from(list(X))
+    rules = []
+    for _ in range(draw(st.integers(1, 12))):
+        a, b = draw(corner), draw(corner)
+        lower, upper = np.minimum(a, b), np.maximum(a, b)
+        rules.append(
+            Rule(
+                lower=lower,
+                upper=upper,
+                coefficients=draw(arrays(np.float64, d, elements=st.floats(-10.0, 10.0))),
+                intercept=draw(st.floats(-10.0, 10.0)),
+                in_sample_mse=draw(st.floats(0.0, 5.0)),
+                experience=draw(st.integers(1, n)),
+                volume=float(np.prod((upper - lower) / 2.0)),
+                fitness=0.0,
+            )
+        )
+    size = len(rules)
+    genome = draw(
+        st.just([False] * size) | st.just([True] * size) | st.lists(st.booleans(), min_size=size, max_size=size)
+    )
+    return Pool(rules), X, np.array(genome, dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools_and_genomes())
+def test_evaluator_predictions_equal_mix_predict_bitwise(case):
+    pool, X, genome = case
+    y = np.zeros(X.shape[0])
+    assert PoolEvaluator(pool, X, y).predictions(genome).tobytes() == mix_predict(pool.selected(genome), X).tobytes()
 
 
 class TestTournament:

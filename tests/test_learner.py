@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rulemix.learner
 from rulemix import (
     ESConfig,
     FitnessParams,
@@ -110,6 +111,28 @@ class TestFit:
         model = fit(X, y, small_config(n_iter=5))
         history = model.fitness_history
         assert all(b >= a for a, b in zip(history, history[1:]))
+
+    def test_falling_fitness_raises_runtime_error(self, monkeypatch):
+        real_compose = rulemix.learner.compose_solution
+        calls = []
+
+        def worsening_compose(*args, **kwargs):
+            best = real_compose(*args, **kwargs)
+            calls.append(best)
+            if len(calls) < 2:
+                return best
+            return SolutionIndividual(
+                genome=best.genome,
+                fitness=calls[0].fitness / 2,
+                complexity=best.complexity,
+                in_sample_mse=best.in_sample_mse,
+            )
+
+        monkeypatch.setattr(rulemix.learner, "compose_solution", worsening_compose)
+        X, y = linear_data(n=60, d=1, seed=5)
+        with pytest.raises(RuntimeError, match="fell between cycles"):
+            fit(X, y, small_config(n_iter=3))
+        assert len(calls) == 2
 
     def test_same_seed_same_model(self):
         X, y = linear_data(n=80, d=2, seed=6)

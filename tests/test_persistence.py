@@ -179,3 +179,78 @@ class TestFormatErrors:
         path.write_text("not json at all{{{")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+class TestNonFiniteAndOutOfRange:
+    """Model files that would make predict return NaN or match outside
+    the scaled feature box fail to load."""
+
+    def saved_doc(self, trained, tmp_path, edit):
+        model, _ = trained
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        return path
+
+    def selected_index(self, doc):
+        return doc["elitist"]["genome_bits"].index("1")
+
+    def test_nan_coefficient_fails_to_load(self, trained, tmp_path):
+        def edit(doc):
+            doc["pool"][self.selected_index(doc)]["coefficients"][0] = float("nan")
+
+        path = self.saved_doc(trained, tmp_path, edit)
+        assert "NaN" in path.read_text()
+        with pytest.raises(ModelFormatError, match="NaN"):
+            load_model(path)
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999", "1" + "0" * 400])
+    def test_infinite_intercept_fails_to_load(self, trained, tmp_path, literal):
+        model, _ = trained
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        old = f'"intercept": {json.dumps(model.pool[0].intercept)}'
+        assert old in text
+        path.write_text(text.replace(old, f'"intercept": {literal}', 1))
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
+    def test_non_finite_values_in_a_document_are_rejected(self, trained):
+        model, _ = trained
+        doc = model_document(model)
+        doc["pool"][0]["coefficients"][0] = float("nan")
+        with pytest.raises(ModelFormatError, match="finite"):
+            document_to_model(doc)
+        doc = model_document(model)
+        doc["transform"]["target_mean"] = float("inf")
+        with pytest.raises(ModelFormatError, match="finite"):
+            document_to_model(doc)
+        doc = model_document(model)
+        doc["pool"][0]["upper"][0] = 10**400
+        with pytest.raises(ModelFormatError, match="finite"):
+            document_to_model(doc)
+
+    def test_lower_bound_below_box_fails_to_load(self, trained, tmp_path):
+        def edit(doc):
+            doc["pool"][self.selected_index(doc)]["lower"][0] = -5.0
+
+        with pytest.raises(ModelFormatError, match="-1 <= lower <= upper <= 1"):
+            load_model(self.saved_doc(trained, tmp_path, edit))
+
+    def test_upper_bound_above_box_fails_to_load(self, trained, tmp_path):
+        def edit(doc):
+            doc["pool"][0]["upper"][-1] = 1.5
+
+        with pytest.raises(ModelFormatError, match="-1 <= lower <= upper <= 1"):
+            load_model(self.saved_doc(trained, tmp_path, edit))
+
+    def test_bounds_on_the_box_edge_load(self, trained, tmp_path):
+        def edit(doc):
+            doc["pool"][0]["lower"] = [-1.0] * len(doc["pool"][0]["lower"])
+            doc["pool"][0]["upper"] = [1.0] * len(doc["pool"][0]["upper"])
+
+        loaded = load_model(self.saved_doc(trained, tmp_path, edit))
+        assert np.all(loaded.pool[0].lower == -1.0) and np.all(loaded.pool[0].upper == 1.0)
