@@ -17,7 +17,6 @@ from .benchmark import (
     report_document,
     run_benchmark,
     summarize,
-    summarize_complexities,
     write_records_csv,
     write_report_json,
 )
@@ -27,7 +26,6 @@ from .composition import (
     SolutionIndividual,
     bitflip_mutate,
     compose_solution,
-    evaluate_solution,
     n_point_crossover,
     tournament_select,
 )
@@ -41,7 +39,7 @@ from .data import (
     write_csv,
 )
 from .describe import describe_model, describe_rule
-from .discovery import ESConfig, discover_rules, evolve_rule, init_interval, init_rule, mutate, select_seed_example
+from .discovery import ESConfig, discover_rules, evolve_rule, init_interval, mutate, select_seed_example
 from .errors import (
     ConfigError,
     DataError,
@@ -53,10 +51,10 @@ from .errors import (
     ModelVersionError,
     NotFittedError,
 )
-from .fitness import FitnessParams, combine, pseudo_accuracy, solution_objectives, volume_share
+from .fitness import FitnessParams, combine, pseudo_accuracy, solution_objectives
 from .learner import LearnerConfig, TrainedModel, config_from_dict, config_to_dict, fit
 from .persistence import load_model, model_document, save_model
-from .rules import Pool, Rule, fit_submodel, match_mask, match_set, matches, mix_predict, predict_rule, rule_fitness
+from .rules import Pool, Rule, fit_submodel, match_mask, match_set, mix_predict, rule_fitness
 from .stats import WilcoxonResult, wilcoxon_signed_rank
 
 __version__ = "0.1.0"
@@ -95,7 +93,6 @@ __all__ = [
     "describe_model",
     "describe_rule",
     "discover_rules",
-    "evaluate_solution",
     "evolve_rule",
     "fit",
     "fit_submodel",
@@ -103,18 +100,15 @@ __all__ = [
     "format_summary_text",
     "gen_piecewise_linear",
     "init_interval",
-    "init_rule",
     "load_csv",
     "load_model",
     "match_mask",
     "match_set",
-    "matches",
     "mix_predict",
     "model_document",
     "monte_carlo_split",
     "mutate",
     "n_point_crossover",
-    "predict_rule",
     "pseudo_accuracy",
     "report_document",
     "rule_fitness",
@@ -123,9 +117,7 @@ __all__ = [
     "select_seed_example",
     "solution_objectives",
     "summarize",
-    "summarize_complexities",
     "tournament_select",
-    "volume_share",
     "wilcoxon_signed_rank",
     "write_csv",
     "write_records_csv",

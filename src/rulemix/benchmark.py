@@ -10,7 +10,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +20,7 @@ import numpy as np
 from .data import Dataset, monte_carlo_split
 from .errors import DataError, DegenerateTestError
 from .learner import LearnerConfig, config_to_dict, fit
+from .persistence import _write_json
 from .rng import derive_seed
 from .stats import wilcoxon_signed_rank
 
@@ -207,35 +207,16 @@ def summarize(report: BenchmarkReport) -> dict[str, dict]:
     return summaries
 
 
-def summarize_complexities(records: list[RunRecord]) -> list[dict]:
-    """Per-dataset complexity statistics, one row per dataset.
-
-    Standard deviation is the sample (n-1) estimate; a single record
-    reports 0 and is flagged as a degenerate sample.
-    """
-    if not records:
-        raise ValueError("records must be non-empty")
-    names = []
-    for record in records:
-        if record.dataset not in names:
-            names.append(record.dataset)
-    rows = []
-    for name in names:
-        complexities = [r.complexity for r in records if r.dataset == name]
-        degenerate = len(complexities) < 2
-        rows.append(
-            {
-                "dataset": name,
-                "n": len(complexities),
-                "mean": statistics.fmean(complexities),
-                "std": statistics.stdev(complexities) if not degenerate else 0.0,
-                "median": statistics.median(complexities),
-                "min": min(complexities),
-                "max": max(complexities),
-                "degenerate_sample": degenerate,
-            }
-        )
-    return rows
+def _paired_test(entry: dict, errors_a: list[float], errors_b: list[float]) -> dict:
+    """entry plus the Wilcoxon signed-rank statistic and p-value of the
+    paired errors, or the reason the test could not run."""
+    try:
+        outcome = wilcoxon_signed_rank(errors_a, errors_b)
+        entry["statistic"] = outcome.statistic
+        entry["p_value"] = outcome.p_value
+    except (ValueError, DegenerateTestError) as exc:
+        entry["error"] = str(exc)
+    return entry
 
 
 def baseline_tests(report: BenchmarkReport) -> list[dict]:
@@ -246,16 +227,8 @@ def baseline_tests(report: BenchmarkReport) -> list[dict]:
         records = [r for r in report.records if r.dataset == name]
         if not records:
             continue
-        model_errors = [r.mse_sigma for r in records]
-        baseline_errors = [r.baseline_mse_sigma for r in records]
         entry = {"dataset": name, "baseline": "train_mean", "n": len(records)}
-        try:
-            outcome = wilcoxon_signed_rank(model_errors, baseline_errors)
-            entry["statistic"] = outcome.statistic
-            entry["p_value"] = outcome.p_value
-        except (ValueError, DegenerateTestError) as exc:
-            entry["error"] = str(exc)
-        results.append(entry)
+        results.append(_paired_test(entry, [r.mse_sigma for r in records], [r.baseline_mse_sigma for r in records]))
     return results
 
 
@@ -273,16 +246,8 @@ def compare_records(records_a: list[RunRecord], records_b: list[RunRecord]) -> l
         keys = sorted(k for k in by_key_a if k[0] == name and k in by_key_b)
         if not keys:
             continue
-        errors_a = [by_key_a[k].mse_sigma for k in keys]
-        errors_b = [by_key_b[k].mse_sigma for k in keys]
         entry = {"dataset": name, "n": len(keys)}
-        try:
-            outcome = wilcoxon_signed_rank(errors_a, errors_b)
-            entry["statistic"] = outcome.statistic
-            entry["p_value"] = outcome.p_value
-        except (ValueError, DegenerateTestError) as exc:
-            entry["error"] = str(exc)
-        results.append(entry)
+        results.append(_paired_test(entry, [by_key_a[k].mse_sigma for k in keys], [by_key_b[k].mse_sigma for k in keys]))
     return results
 
 
@@ -318,9 +283,7 @@ def report_document(report: BenchmarkReport) -> dict:
 
 
 def write_report_json(report: BenchmarkReport, path) -> None:
-    with open(str(path), "w") as fh:
-        json.dump(report_document(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report_document(report), path)
 
 
 def write_records_csv(report: BenchmarkReport, path) -> None:

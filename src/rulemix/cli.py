@@ -9,16 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from .benchmark import BenchmarkReport, format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
-from .data import Dataset, gen_piecewise_linear, load_csv, write_csv
+from .data import Dataset, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
 from .describe import describe_model, describe_rule
 from .errors import ConfigError, DataError, ModelFormatError
 from .learner import LearnerConfig, config_from_dict, config_to_dict, fit
@@ -123,34 +120,6 @@ def _learner_config(args) -> tuple[LearnerConfig, dict]:
     return config, settings
 
 
-def _read_feature_csv(path: str, expected_dim: int) -> np.ndarray:
-    """Read a header + numeric rows CSV of prediction inputs."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if len(header) != expected_dim:
-            raise DataError(f"{path}: model expects {expected_dim} feature columns, file has {len(header)}")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise DataError(f"{path}: non-numeric value at row {line_no}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise DataError(f"{path}: non-finite value at row {line_no}")
-            rows.append(values)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.array(rows, dtype=float)
-
-
 def cmd_fit(args) -> int:
     config, _ = _learner_config(args)
     dataset = load_csv(args.data, target_column=args.target)
@@ -183,7 +152,9 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    X = _read_feature_csv(args.data, model.transform.dim)
+    header, X = read_numeric_csv(args.data)
+    if len(header) != model.transform.dim:
+        raise DataError(f"{args.data}: model expects {model.transform.dim} feature columns, file has {len(header)}")
     predictions = model.predict(X)
     if args.out:
         with open(args.out, "w", newline="") as fh:

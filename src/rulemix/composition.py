@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .fitness import FitnessParams, combine, solution_objectives
-from .rules import MIX_EPS, Pool, match_mask
+# match_mask stays a module attribute here: perfbench's tracer patches it
+from .rules import Pool, match_mask, mix_ratio, mixing_terms  # noqa: F401
 
 
 # eq=False: the genome array would make the generated __eq__ raise
@@ -88,26 +89,26 @@ class PoolEvaluator:
     def __init__(self, pool: Pool, X: np.ndarray, y: np.ndarray):
         self.pool_size = len(pool)
         self.y = y
-        self.n = X.shape[0]
         # C order: reducing over axis 0 adds whole rows one after another
-        self.weighted_outputs = np.zeros((self.pool_size, self.n))
-        self.weights = np.zeros((self.pool_size, self.n))
+        self.weighted_outputs = np.zeros((self.pool_size, X.shape[0]))
+        self.weights = np.zeros((self.pool_size, X.shape[0]))
         for index, rule in enumerate(pool):
-            weight = rule.experience / (rule.in_sample_mse + MIX_EPS)
-            mask = match_mask(rule.lower, rule.upper, X)
-            self.weighted_outputs[index, mask] = (weight * (X @ rule.coefficients + rule.intercept))[mask]
+            mask, weight, weighted_outputs = mixing_terms(rule, X)
+            self.weighted_outputs[index, mask] = weighted_outputs[mask]
             self.weights[index, mask] = weight
         self._cache: dict[tuple[FitnessParams, bytes], SolutionIndividual] = {}
 
     def predictions(self, genome: np.ndarray) -> np.ndarray:
         selected = np.asarray(genome, dtype=bool)
-        numerator = np.add.reduce(self.weighted_outputs[selected], axis=0, initial=0.0)
-        denominator = np.add.reduce(self.weights[selected], axis=0, initial=0.0)
-        predictions = np.zeros(self.n)
-        np.divide(numerator, denominator, out=predictions, where=denominator > 0)
-        return predictions
+        return mix_ratio(
+            np.add.reduce(self.weighted_outputs[selected], axis=0, initial=0.0),
+            np.add.reduce(self.weights[selected], axis=0, initial=0.0),
+        )
 
     def evaluate(self, genome: np.ndarray, params: FitnessParams) -> SolutionIndividual:
+        """Score one rule subset: the error objective squashes its
+        in-sample mixing error, the parsimony objective is the unused
+        share of the pool."""
         genome = np.asarray(genome, dtype=bool)
         if genome.shape != (self.pool_size,):
             raise ValueError(f"genome must have one bit per pool rule ({self.pool_size}), got shape {genome.shape}")
@@ -127,17 +128,6 @@ class PoolEvaluator:
         )
         self._cache[key] = individual
         return individual
-
-
-def evaluate_solution(genome, pool: Pool, X, y, params: FitnessParams) -> SolutionIndividual:
-    """Score one rule subset on training data.
-
-    The error objective squashes the subset's in-sample mixing error;
-    the parsimony objective is the unused share of the pool.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return PoolEvaluator(pool, X, y).evaluate(genome, params)
 
 
 def _rank_key(population):

@@ -9,8 +9,10 @@ mapped back to original units and new inputs into the scaled space.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import PurePath
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -37,51 +39,66 @@ class Dataset:
         return int(self.X.shape[1])
 
 
-def load_csv(path, target_column: str | None = None, name: str | None = None) -> Dataset:
-    """Read a numeric CSV with a header row into a Dataset.
+def _reject_row(path: str, line_no: int, header: list[str], row: list[str]) -> NoReturn:
+    """Raise the error for the first cell of a row that is missing, not
+    a number or not finite."""
+    for column, cell in zip(header, row):
+        try:
+            if math.isfinite(float(cell)):
+                continue
+            problem = "non-finite value"
+        except ValueError:
+            problem = "non-numeric value" if cell.strip() else "missing value"
+        raise DataError(f"{path}: {problem} at row {line_no}, column {column!r}: {cell.strip()!r}")
 
-    target_column picks the target by header name; the default is the
-    last column. Missing or non-numeric cells are reported with their
-    row and column.
+
+def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+    """The stripped header and the data rows, as a float matrix, of a CSV
+    file; training data and prediction inputs are both read here.
+
+    Blank lines are skipped. Every cell must be a finite number; a row
+    is parsed whole and only a row that fails is checked cell by cell,
+    so the error names the row and column of the first bad cell.
     """
     path = str(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if len(header) < 2:
-            raise DataError(f"{path}: need at least one feature column and one target column")
-        if len(set(header)) != len(header):
-            raise DataError(f"{path}: duplicate column names in header")
-
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and row[0].strip() == ""):
                 continue
             if len(row) != len(header):
                 raise DataError(f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}")
-            values = []
-            for column, cell in zip(header, row):
-                cell = cell.strip()
-                if cell == "":
-                    raise DataError(f"{path}: missing value at row {line_no}, column {column!r}")
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric value {cell!r} at row {line_no}, column {column!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataError(f"{path}: non-finite value {cell!r} at row {line_no}, column {column!r}")
-                values.append(value)
+            try:
+                values = [float(cell) for cell in row]
+                valid = all(map(math.isfinite, values))
+            except ValueError:
+                valid = False
+            if not valid:
+                _reject_row(path, line_no, header, row)
             rows.append(values)
-
     if not rows:
         raise DataError(f"{path}: no data rows")
+    return header, np.array(rows, dtype=float)
 
+
+def load_csv(path, target_column: str | None = None, name: str | None = None) -> Dataset:
+    """Read a numeric CSV with a header row into a Dataset.
+
+    target_column picks the target by header name; the default is the
+    last column. Missing, non-numeric or non-finite cells are reported
+    with their row and column.
+    """
+    path = str(path)
+    header, data = read_numeric_csv(path)
+    if len(header) < 2:
+        raise DataError(f"{path}: need at least one feature column and one target column")
+    if len(set(header)) != len(header):
+        raise DataError(f"{path}: duplicate column names in header")
     if target_column is None:
         target_index = len(header) - 1
     else:
@@ -89,7 +106,6 @@ def load_csv(path, target_column: str | None = None, name: str | None = None) ->
             raise DataError(f"{path}: target column {target_column!r} not found; columns are {header}")
         target_index = header.index(target_column)
 
-    data = np.array(rows, dtype=float)
     y = data[:, target_index]
     X = np.delete(data, target_index, axis=1)
     feature_names = [h for i, h in enumerate(header) if i != target_index]

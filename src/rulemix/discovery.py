@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMatchError
+from .errors import ConfigError
 from .fitness import FitnessParams
 from .rng import spawn_rng
 from .rules import Rule, fit_submodel
@@ -84,24 +84,6 @@ def init_interval(seed_point: np.ndarray, init_spread: float, rng: np.random.Gen
     return lower, upper
 
 
-def init_rule(
-    seed_point: np.ndarray,
-    init_spread: float,
-    rng: np.random.Generator,
-    X: np.ndarray,
-    y: np.ndarray,
-    ridge_coeff: float,
-    fitness_params: FitnessParams | None = None,
-) -> Rule:
-    """Fit the small initial rule around one scaled training example.
-
-    The seed example is matched by construction, so fitting always has
-    at least one row.
-    """
-    lower, upper = init_interval(seed_point, init_spread, rng)
-    return fit_submodel(lower, upper, X, y, ridge_coeff, fitness_params)
-
-
 def mutate(lower: np.ndarray, upper: np.ndarray, mutation_spread: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Expand an interval by half-normal steps on each side of each dimension.
 
@@ -120,26 +102,22 @@ def evolve_rule(
     ridge_coeff: float,
     rng: np.random.Generator,
 ) -> Rule:
-    """One full (1, lambda) ES run; returns the fittest rule it ever saw."""
+    """One full (1, lambda) ES run; returns the fittest rule it ever saw.
+
+    The seed example lies inside its initial interval and mutation only
+    widens, so every rule of the run matches at least the seed example.
+    """
     seed_index = select_seed_example(errors, rng)
-    candidate = init_rule(X[seed_index], config.init_spread, rng, X, y, ridge_coeff, fitness_params)
-    parent = candidate
+    lower, upper = init_interval(X[seed_index], config.init_spread, rng)
+    candidate = parent = fit_submodel(lower, upper, X, y, ridge_coeff, fitness_params)
     stale = 0
     while stale < config.delta:
-        best_child: Rule | None = None
-        for _ in range(config.lambda_):
-            child_lower, child_upper = mutate(parent.lower, parent.upper, config.mutation_spread, rng)
-            try:
-                child = fit_submodel(child_lower, child_upper, X, y, ridge_coeff, fitness_params)
-            except EmptyMatchError:
-                # Unreachable when the parent matched something, since
-                # mutation only widens; kept so a failed child never
-                # kills the run.
-                continue
-            if best_child is None or child.fitness > best_child.fitness:
-                best_child = child
-        if best_child is not None:
-            parent = best_child
+        children = (
+            fit_submodel(*mutate(parent.lower, parent.upper, config.mutation_spread, rng), X, y, ridge_coeff, fitness_params)
+            for _ in range(config.lambda_)
+        )
+        # max keeps the first of equally fit children
+        parent = max(children, key=lambda child: child.fitness)
         if parent.fitness > candidate.fitness:
             candidate = parent
             stale = 0

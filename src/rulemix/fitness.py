@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigError
 
 
@@ -41,26 +39,6 @@ def pseudo_accuracy(mse: float, beta: float) -> float:
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     return math.exp(-mse * beta)
-
-
-def volume_share(lower, upper, domain_width: float = 2.0) -> float:
-    """Fraction of the full feature box covered by [lower, upper].
-
-    Bounds live in scaled feature space, where every dimension spans
-    domain_width (2 for the [-1, 1] scaling).
-    """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if lower.shape != upper.shape or lower.ndim != 1 or lower.size == 0:
-        raise ValueError("lower and upper must be non-empty 1-d arrays of equal length")
-    if not domain_width > 0:
-        raise ValueError(f"domain_width must be positive, got {domain_width}")
-    widths = upper - lower
-    if np.any(widths < 0):
-        raise ValueError("interval is empty: upper < lower in some dimension")
-    if np.any(widths > domain_width):
-        raise ValueError("interval exceeds the feature domain in some dimension")
-    return float(np.prod(widths / domain_width))
 
 
 def combine(o1: float, o2: float, alpha: float) -> float:

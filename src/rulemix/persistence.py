@@ -3,15 +3,17 @@
 Floats are serialized with Python's shortest round-trip representation,
 so a loaded model predicts bit for bit what the saved one did. Files
 declare a format_version; loading rejects versions this build does not
-know, non-finite numbers (NaN, Infinity, overflowing literals) and rule
-bounds outside the scaled feature box, and reports structural problems
-by name.
+know, non-finite numbers (NaN, Infinity, overflowing literals), rule
+bounds outside the scaled feature box and rule volumes that differ
+from their bounds, and reports structural problems by name. Writes go
+through a temporary file, so a failed save never leaves a torn file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .composition import SolutionIndividual
 from .data import TransformState
 from .errors import ConfigError, ModelFormatError, ModelVersionError
 from .learner import LearnerConfig, TrainedModel, config_from_dict, config_to_dict
-from .rules import Pool, Rule
+from .rules import Pool, Rule, _volume
 
 FORMAT_VERSION = 1
 
@@ -58,10 +60,22 @@ def model_document(model: TrainedModel) -> dict:
     }
 
 
+def _write_json(doc: dict, path) -> None:
+    """Write doc as indented, key-sorted JSON through a temporary file in
+    the same directory, so a failed write leaves any earlier file whole."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
 def save_model(model: TrainedModel, path) -> None:
-    with open(str(path), "w") as fh:
-        json.dump(model_document(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(model_document(model), path)
 
 
 def _finite(numbers) -> bool:
@@ -149,6 +163,9 @@ def document_to_model(doc) -> TrainedModel:
         mse = _require(rule_doc, "mse", float, where)
         if not mse >= 0:
             raise ModelFormatError(f"{where}.mse must be non-negative")
+        volume = _require(rule_doc, "volume", float, where)
+        if volume != _volume(lower, upper):
+            raise ModelFormatError(f"{where}.volume {volume!r} does not match its bounds")
         rules.append(
             Rule(
                 lower=lower,
@@ -157,7 +174,7 @@ def document_to_model(doc) -> TrainedModel:
                 intercept=_require(rule_doc, "intercept", float, where),
                 in_sample_mse=mse,
                 experience=experience,
-                volume=_require(rule_doc, "volume", float, where),
+                volume=volume,
                 fitness=_require(rule_doc, "fitness", float, where),
             )
         )

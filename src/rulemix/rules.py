@@ -57,18 +57,15 @@ def match_mask(lower: np.ndarray, upper: np.ndarray, X: np.ndarray) -> np.ndarra
     return ((X >= lower) & (X <= upper)).all(axis=1)
 
 
-def matches(rule: Rule, x) -> bool:
-    """Whether a single input lies inside the rule's interval (bounds inclusive)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != rule.lower.shape:
-        raise ValueError(f"dimension mismatch: rule has {rule.dim} dimensions, input has shape {x.shape}")
-    return bool(np.all((x >= rule.lower) & (x <= rule.upper)))
-
-
 def match_set(rule: Rule, X) -> np.ndarray:
     """Indices of the rows of X the rule matches, in ascending order."""
     X = np.asarray(X, dtype=float)
     return np.flatnonzero(match_mask(rule.lower, rule.upper, X))
+
+
+def _volume(lower: np.ndarray, upper: np.ndarray) -> float:
+    """Share of the scaled feature box [-1, 1]^d that [lower, upper] covers."""
+    return float(np.prod((upper - lower) / 2.0))
 
 
 def fit_submodel(
@@ -131,7 +128,7 @@ def fit_submodel(
         intercept=intercept,
         in_sample_mse=mse,
         experience=n_matched,
-        volume=float(np.prod((upper - lower) / 2.0)),
+        volume=_volume(lower, upper),
         fitness=0.0,
     )
     if fitness_params is not None:
@@ -144,14 +141,6 @@ def rule_fitness(rule: Rule, params: FitnessParams) -> float:
     if not math.isfinite(rule.in_sample_mse):
         raise NotFittedError("rule has no fitted submodel")
     return combine(pseudo_accuracy(rule.in_sample_mse, params.beta), rule.volume, params.alpha)
-
-
-def predict_rule(rule: Rule, x) -> float:
-    """The rule's linear output at a single input (matching or not)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != rule.lower.shape:
-        raise ValueError(f"dimension mismatch: rule has {rule.dim} dimensions, input has shape {x.shape}")
-    return float(rule.coefficients @ x + rule.intercept)
 
 
 class Pool:
@@ -182,6 +171,22 @@ class Pool:
         return iter(self._rules)
 
 
+def mixing_terms(rule: Rule, X: np.ndarray, eps: float = MIX_EPS) -> tuple[np.ndarray, float, np.ndarray]:
+    """A rule's part in the mix at the rows of X: the mask of the rows it
+    matches, its weight experience / (mse + eps), and its output times
+    that weight at every row."""
+    weight = rule.experience / (rule.in_sample_mse + eps)
+    return match_mask(rule.lower, rule.upper, X), weight, weight * (X @ rule.coefficients + rule.intercept)
+
+
+def mix_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Summed weighted outputs over summed weights; 0, the standardized
+    target mean, on rows where no rule matched."""
+    predictions = np.zeros(numerator.shape[0])
+    np.divide(numerator, denominator, out=predictions, where=denominator > 0)
+    return predictions
+
+
 def mix_predict(rules: Sequence[Rule], X, eps: float = MIX_EPS) -> np.ndarray:
     """Weighted average of the matching rules' outputs at each row of X.
 
@@ -194,11 +199,7 @@ def mix_predict(rules: Sequence[Rule], X, eps: float = MIX_EPS) -> np.ndarray:
     numerator = np.zeros(X.shape[0])
     denominator = np.zeros(X.shape[0])
     for rule in rules:
-        mask = match_mask(rule.lower, rule.upper, X)
-        weight = rule.experience / (rule.in_sample_mse + eps)
-        weighted_outputs = weight * (X @ rule.coefficients + rule.intercept)
+        mask, weight, weighted_outputs = mixing_terms(rule, X, eps)
         numerator[mask] += weighted_outputs[mask]
         denominator[mask] += weight
-    predictions = np.zeros(X.shape[0])
-    np.divide(numerator, denominator, out=predictions, where=denominator > 0)
-    return predictions
+    return mix_ratio(numerator, denominator)

@@ -12,11 +12,10 @@ from rulemix import (
     report_document,
     run_benchmark,
     summarize,
-    summarize_complexities,
     write_records_csv,
     write_report_json,
 )
-from rulemix.benchmark import RunRecord
+from rulemix.benchmark import BenchmarkReport, RunRecord
 
 from conftest import linear_data, small_config
 
@@ -28,6 +27,18 @@ def tiny_datasets():
         Dataset(name="alpha", X=X1, y=y1, feature_names=["x0"], target_name="y"),
         Dataset(name="beta", X=X2, y=y2, feature_names=["x0", "x1"], target_name="y"),
     ]
+
+
+def report_of(records, names=("d",)):
+    return BenchmarkReport(
+        master_seed=0,
+        n_seeds=1,
+        n_splits=len(records),
+        test_fraction=0.25,
+        config=small_config(),
+        dataset_names=list(names),
+        records=list(records),
+    )
 
 
 def record(dataset="d", seed_index=0, split_index=0, mse_sigma=0.1, complexity=3, baseline=1.0):
@@ -153,25 +164,25 @@ class TestSummaries:
             record(dataset="d", complexity=3),
             record(dataset="d", complexity=4),
         ]
-        rows = summarize_complexities(records)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["dataset"] == "d"
-        assert row["n"] == 4
-        assert row["mean"] == 3.0
-        assert row["median"] == 3
-        assert row["min"] == 2
-        assert row["max"] == 4
+        summaries = summarize(report_of(records))
+        assert list(summaries) == ["d"]
+        row = summaries["d"]
+        assert row["n_runs"] == 4
+        assert row["complexity_mean"] == 3.0
+        assert row["complexity_std"] == pytest.approx(float(np.std([2, 3, 3, 4], ddof=1)), rel=1e-12)
+        assert row["complexity_median"] == 3
+        assert row["complexity_min"] == 2
+        assert row["complexity_max"] == 4
         assert row["degenerate_sample"] is False
 
     def test_single_record_is_degenerate(self):
-        rows = summarize_complexities([record()])
-        assert rows[0]["degenerate_sample"] is True
-        assert rows[0]["std"] == 0.0
+        row = summarize(report_of([record()]))["d"]
+        assert row["degenerate_sample"] is True
+        assert row["complexity_std"] == 0.0
+        assert row["mse_sigma_std"] == 0.0
 
-    def test_summarize_complexities_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize_complexities([])
+    def test_summarize_skips_dataset_without_records(self):
+        assert summarize(report_of([record(dataset="d")], names=("d", "failed"))).keys() == {"d"}
 
     def test_baseline_tests_shape(self, small_report):
         results = baseline_tests(small_report)

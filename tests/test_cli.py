@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import rulemix.benchmark
-from rulemix import load_model
+import rulemix.cli
+from rulemix import load_model, write_csv
 from rulemix.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 
-from conftest import linear_data
+from conftest import csv_cases, linear_data, matrix_dataset, replace_cell
 
 SMALL_SET_FLAGS = [
     "--set", "n_iter=2",
@@ -174,6 +179,15 @@ class TestPredict:
         assert main(["predict", str(model_path), str(features)]) == EXIT_DATA
         assert "NaN" in capsys.readouterr().err
 
+    def test_model_with_mismatched_volume_is_data_error(self, model_path, tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["pool"][0]["volume"] *= 0.5
+        model_path.write_text(json.dumps(doc))
+        features = tmp_path / "query.csv"
+        write_feature_csv(features, np.array([[0.5, 1.0]]))
+        assert main(["predict", str(model_path), str(features)]) == EXIT_DATA
+        assert "pool[0].volume" in capsys.readouterr().err
+
     def test_model_with_out_of_box_bound_is_data_error(self, model_path, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
         doc["pool"][0]["lower"][0] = -5.0
@@ -182,6 +196,37 @@ class TestPredict:
         write_feature_csv(features, np.array([[0.5, 1.0]]))
         assert main(["predict", str(model_path), str(features)]) == EXIT_DATA
         assert "-1 <= lower <= upper <= 1" in capsys.readouterr().err
+
+
+class InputRecorder:
+    """Stands in for a loaded model and keeps the matrix predict read."""
+
+    def __init__(self, dim):
+        self.transform = SimpleNamespace(dim=dim)
+        self.X = None
+
+    def predict(self, X):
+        self.X = X
+        return X[:, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_cases())
+def test_predict_reads_write_csv_bit_for_bit_and_names_a_bad_cell(tmp_path_factory, case):
+    matrix, row, column, bad = case
+    directory = tmp_path_factory.mktemp("predict")
+    path = directory / "query.csv"
+    write_csv(matrix_dataset(matrix), path)
+    recorder = InputRecorder(matrix.shape[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rulemix.cli, "load_model", lambda _: recorder)
+        assert main(["predict", "model.json", str(path), "--out", str(directory / "out.csv")]) == EXIT_OK
+        assert recorder.X.tobytes() == matrix.tobytes()
+        replace_cell(path, row, column, bad)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert main(["predict", "model.json", str(path)]) == EXIT_DATA
+    assert f"at row {row + 2}, column 'c{column}'" in stderr.getvalue()
 
 
 class TestInspect:

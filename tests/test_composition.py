@@ -16,7 +16,6 @@ from rulemix import (
     bitflip_mutate,
     combine,
     compose_solution,
-    evaluate_solution,
     fit_submodel,
     mix_predict,
     n_point_crossover,
@@ -82,7 +81,7 @@ class TestEvaluate:
         gen = np.random.default_rng(3)
         for _ in range(20):
             genome = gen.random(len(pool)) < 0.5
-            sol = evaluate_solution(genome, pool, X, y, params)
+            sol = PoolEvaluator(pool, X, y).evaluate(genome, params)
             preds = mix_predict(pool.selected(genome), X)
             mse = float(np.mean((y - preds) ** 2))
             assert sol.in_sample_mse == mse
@@ -98,20 +97,20 @@ class TestEvaluate:
         for _ in range(10):
             genome = gen.random(len(pool)) < 0.4
             a = evaluator.evaluate(genome, params)
-            b = evaluate_solution(genome, pool, X, y, params)
+            b = PoolEvaluator(pool, X, y).evaluate(genome, params)
             assert a.fitness == b.fitness
             assert a.in_sample_mse == b.in_sample_mse
 
     def test_empty_genome_predicts_zero(self):
         pool, X, y = build_pool(seed=6)
-        sol = evaluate_solution(np.zeros(len(pool), dtype=bool), pool, X, y, FitnessParams())
+        sol = PoolEvaluator(pool, X, y).evaluate(np.zeros(len(pool), dtype=bool), FitnessParams())
         assert sol.complexity == 0
         assert sol.in_sample_mse == float(np.mean(y**2))
 
     def test_genome_shape_check(self):
         pool, X, y = build_pool()
         with pytest.raises(ValueError):
-            evaluate_solution(np.zeros(len(pool) + 1, dtype=bool), pool, X, y, FitnessParams())
+            PoolEvaluator(pool, X, y).evaluate(np.zeros(len(pool) + 1, dtype=bool), FitnessParams())
 
 
 def same_bits(a: float, b: float) -> bool:
@@ -127,8 +126,8 @@ class TestEvaluationCache:
         a = evaluator.evaluate(genome, loose)
         b = evaluator.evaluate(genome, strict)
         assert a.fitness != b.fitness
-        assert same_bits(a.fitness, evaluate_solution(genome, pool, X, y, loose).fitness)
-        assert same_bits(b.fitness, evaluate_solution(genome, pool, X, y, strict).fitness)
+        assert same_bits(a.fitness, PoolEvaluator(pool, X, y).evaluate(genome, loose).fitness)
+        assert same_bits(b.fitness, PoolEvaluator(pool, X, y).evaluate(genome, strict).fitness)
         assert same_bits(evaluator.evaluate(genome, loose).fitness, a.fitness)
 
     def test_repeated_genome_returns_the_same_result(self):
@@ -160,7 +159,7 @@ class TestEvaluationCache:
         evaluator = PoolEvaluator(pool, X, y)
         for _ in range(2):  # the second call is served from the cache
             cached = evaluator.evaluate(genome, params)
-            one_shot = evaluate_solution(genome, pool, X, y, params)
+            one_shot = PoolEvaluator(pool, X, y).evaluate(genome, params)
             assert same_bits(cached.fitness, one_shot.fitness)
             assert same_bits(cached.in_sample_mse, one_shot.in_sample_mse)
             assert cached.complexity == one_shot.complexity == int(bit) * len(pool)
@@ -358,7 +357,7 @@ class TestComposeSolution:
             pool.append(rule)
         padded = np.zeros(len(pool), dtype=bool)
         padded[: len(first.genome)] = first.genome
-        seed_fitness = evaluate_solution(padded, pool, X, y, params).fitness
+        seed_fitness = PoolEvaluator(pool, X, y).evaluate(padded, params).fitness
         second = compose_solution(pool, first, X, y, config, params, np.random.default_rng(31))
         assert second.fitness >= seed_fitness
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from rulemix import (
     Dataset,
@@ -10,6 +11,21 @@ from rulemix import (
     write_csv,
 )
 from rulemix.errors import DataError, DegenerateFeatureError, DegenerateTargetError
+
+from conftest import csv_cases, matrix_dataset, replace_cell
+
+
+@settings(max_examples=100, deadline=None)
+@given(csv_cases())
+def test_load_csv_reads_write_csv_bit_for_bit_and_names_a_bad_cell(tmp_path_factory, case):
+    matrix, row, column, bad = case
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    write_csv(matrix_dataset(matrix), path)
+    back = load_csv(path)
+    assert np.hstack([back.X, back.y[:, None]]).tobytes() == matrix.tobytes()
+    replace_cell(path, row, column, bad)
+    with pytest.raises(DataError, match=f"at row {row + 2}, column 'c{column}'"):
+        load_csv(path)
 
 
 class TestLoadCsv:

@@ -8,8 +8,8 @@ from rulemix import (
     FitnessParams,
     discover_rules,
     evolve_rule,
+    fit_submodel,
     init_interval,
-    init_rule,
     match_mask,
     mutate,
     select_seed_example,
@@ -145,7 +145,8 @@ class TestEvolveRule:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             seed_index = select_seed_example(errors, np.random.default_rng(seed))
-            first = init_rule(X[seed_index], 0.05, np.random.default_rng(seed), X, y, 0.01, params)
+            lower, upper = init_interval(X[seed_index], 0.05, np.random.default_rng(seed))
+            first = fit_submodel(lower, upper, X, y, 0.01, params)
             rng = np.random.default_rng(seed)
             best = evolve_rule(X, y, errors, ESConfig(lambda_=6, delta=3), params, 0.01, rng)
             assert best.fitness >= first.fitness

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rulemix import FitnessParams, combine, pseudo_accuracy, solution_objectives, volume_share
+from rulemix import FitnessParams, combine, fit_submodel, pseudo_accuracy, solution_objectives
 from rulemix.errors import ConfigError
 
 
@@ -30,29 +30,30 @@ class TestPseudoAccuracy:
 
 
 class TestVolumeShare:
+    """The share of the scaled box a rule covers, its second fitness
+    objective, as fit_submodel stamps it on the rule."""
+
+    @staticmethod
+    def volume_share(lower, upper, point):
+        return fit_submodel(np.array(lower), np.array(upper), np.array([point]), np.array([1.0])).volume
+
     def test_full_cube_is_one(self):
-        lower = np.full(3, -1.0)
-        upper = np.full(3, 1.0)
-        assert volume_share(lower, upper) == 1.0
+        assert self.volume_share([-1.0] * 3, [1.0] * 3, [0.0] * 3) == 1.0
 
     def test_half_width_cube(self):
         # per-dim share 0.25, three dims: 0.25**3
-        lower = np.full(3, -0.25)
-        upper = np.full(3, 0.25)
-        assert volume_share(lower, upper) == 0.015625
+        assert self.volume_share([-0.25] * 3, [0.25] * 3, [0.0] * 3) == 0.015625
 
     def test_point_interval_is_zero(self):
-        lower = np.array([0.3, -0.2])
-        upper = np.array([0.3, 0.5])
-        assert volume_share(lower, upper) == 0.0
+        assert self.volume_share([0.3, -0.2], [0.3, 0.5], [0.3, 0.0]) == 0.0
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError):
-            volume_share(np.array([0.5]), np.array([-0.5]))
+            self.volume_share([0.5], [-0.5], [0.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            volume_share(np.array([]), np.array([]))
+            self.volume_share([], [], [0.0])
 
 
 class TestCombine:

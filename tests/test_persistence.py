@@ -1,9 +1,28 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from rulemix import fit, load_model, model_document, save_model
+from rulemix import (
+    FitnessParams,
+    LearnerConfig,
+    Pool,
+    PoolEvaluator,
+    TrainedModel,
+    TransformState,
+    fit,
+    fit_submodel,
+    load_model,
+    model_document,
+    save_model,
+    write_report_json,
+)
+from rulemix.benchmark import BenchmarkReport
 from rulemix.errors import ModelFormatError, ModelVersionError
 from rulemix.persistence import FORMAT_VERSION, document_to_model
 
@@ -251,6 +270,101 @@ class TestNonFiniteAndOutOfRange:
         def edit(doc):
             doc["pool"][0]["lower"] = [-1.0] * len(doc["pool"][0]["lower"])
             doc["pool"][0]["upper"] = [1.0] * len(doc["pool"][0]["upper"])
+            doc["pool"][0]["volume"] = 1.0
 
         loaded = load_model(self.saved_doc(trained, tmp_path, edit))
         assert np.all(loaded.pool[0].lower == -1.0) and np.all(loaded.pool[0].upper == 1.0)
+
+
+class TestVolumeCheck:
+    """A rule's stored volume must equal the share of the box its bounds
+    cover, computed exactly as fitting computes it."""
+
+    def test_volume_one_ulp_off_fails_to_load(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["pool"][1]["volume"] = math.nextafter(doc["pool"][1]["volume"], 2.0)
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        with pytest.raises(ModelFormatError, match=r"pool\[1\]\.volume .* does not match its bounds"):
+            load_model(path)
+
+    def test_bounds_edited_without_the_volume_fail_to_load(self, trained):
+        model, _ = trained
+        doc = model_document(model)
+        doc["pool"][0]["upper"] = [1.0] * len(doc["pool"][0]["upper"])
+        with pytest.raises(ModelFormatError, match="volume"):
+            document_to_model(doc)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("kind", ["model", "report"])
+    def test_failed_write_keeps_the_previous_file(self, trained, tmp_path, monkeypatch, kind):
+        model, _ = trained
+        report = BenchmarkReport(
+            master_seed=0, n_seeds=1, n_splits=1, test_fraction=0.25, config=model.config, dataset_names=["d"], records=[]
+        )
+        path = tmp_path / "out.json"
+
+        def write():
+            if kind == "model":
+                save_model(model, path)
+            else:
+                write_report_json(report, path)
+
+        write()
+        before = path.read_bytes()
+
+        def dump_half_then_fail(doc, fh, **kwargs):
+            fh.write(json.dumps(doc)[:20])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.json"]
+
+
+unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def trained_models(draw):
+    """Rules fitted on random boxes, a random genome over them and a
+    random scaling; every box holds at least its own corner row."""
+    d = draw(st.integers(1, 3))
+    X = draw(arrays(np.float64, (draw(st.integers(1, 20)), d), elements=unit_floats))
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(arrays(np.float64, d, elements=unit_floats))
+        b = draw(arrays(np.float64, d, elements=unit_floats))
+        boxes.append((np.minimum(a, b), np.maximum(a, b)))
+    X = np.vstack([X, *(lower for lower, _ in boxes)])
+    y = draw(arrays(np.float64, X.shape[0], elements=st.floats(-3.0, 3.0)))
+    pool = Pool([fit_submodel(lower, upper, X, y, fitness_params=FitnessParams()) for lower, upper in boxes])
+    genome = np.array(draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool))), dtype=bool)
+    feature_min = draw(arrays(np.float64, d, elements=st.floats(-100.0, 100.0)))
+    widths = draw(arrays(np.float64, d, elements=st.floats(0.5, 100.0)))
+    transform = TransformState(
+        feature_min=feature_min,
+        feature_max=feature_min + widths,
+        target_mean=draw(st.floats(-100.0, 100.0)),
+        target_std=draw(st.floats(0.01, 100.0)),
+    )
+    elitist = PoolEvaluator(pool, X, y).evaluate(genome, FitnessParams())
+    return TrainedModel(pool=pool, elitist=elitist, transform=transform, config=LearnerConfig()), X
+
+
+@settings(max_examples=60, deadline=None)
+@given(trained_models())
+def test_save_load_round_trip_of_arbitrary_pools(tmp_path_factory, case):
+    model, X_scaled = case
+    path = tmp_path_factory.mktemp("round-trip") / "model.json"
+    save_model(model, path)
+    # loading runs every check, the volume check included
+    loaded = load_model(path)
+    assert json.dumps(model_document(loaded), sort_keys=True) == json.dumps(model_document(model), sort_keys=True)
+    X = model.transform.inverse_features(X_scaled)
+    assert loaded.predict(X).tobytes() == model.predict(X).tobytes()

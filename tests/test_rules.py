@@ -10,11 +10,8 @@ from rulemix import (
     fit_submodel,
     match_mask,
     match_set,
-    matches,
     mix_predict,
-    predict_rule,
     rule_fitness,
-    volume_share,
 )
 from rulemix.errors import EmptyMatchError, NotFittedError
 
@@ -29,7 +26,7 @@ def make_rule(lower, upper, coefficients, intercept=0.0, mse=0.1, experience=5):
         intercept=float(intercept),
         in_sample_mse=float(mse),
         experience=int(experience),
-        volume=volume_share(lower, upper),
+        volume=float(np.prod((upper - lower) / 2.0)),
         fitness=0.0,
     )
 
@@ -52,8 +49,7 @@ class TestMatching:
 
     def test_matches_and_match_set(self):
         rule = make_rule([-0.5], [0.5], [1.0])
-        assert matches(rule, [0.5])
-        assert not matches(rule, [0.6])
+        assert match_mask(rule.lower, rule.upper, np.array([[0.5], [0.6]])).tolist() == [True, False]
         X = np.array([[-0.9], [0.0], [0.4], [0.8]])
         assert match_set(rule, X).tolist() == [1, 2]
 
@@ -138,7 +134,8 @@ class TestFitSubmodel:
         lower = np.array([-0.5, -0.25])
         upper = np.array([0.5, 0.25])
         rule = fit_submodel(lower, upper, X, y)
-        assert rule.volume == volume_share(lower, upper)
+        # half of the box along the first axis, a quarter along the second
+        assert rule.volume == 0.125
 
     def test_fitness_stamped_when_params_given(self, rng):
         X = rng.uniform(-1.0, 1.0, size=(20, 1))
@@ -194,20 +191,23 @@ class TestRuleFitness:
 
 
 class TestPredictRule:
+    """A lone rule predicts its own line at every row it matches."""
+
     def test_intercept_at_origin(self):
         coefficients = [2.38, 2.29, 0.68, -1.26, -0.67, 0.71, 0.60, 2.07]
         rule = make_rule(np.full(8, -1.0), np.full(8, 1.0), coefficients, intercept=3.9160)
-        assert predict_rule(rule, np.zeros(8)) == 3.9160
+        assert mix_predict([rule], np.zeros((1, 8)))[0] == pytest.approx(3.9160, rel=1e-15)
 
     def test_is_the_dot_product(self, rng):
         rule = make_rule(np.full(3, -1.0), np.full(3, 1.0), [1.0, -2.0, 0.5], intercept=0.25)
         x = rng.uniform(-1, 1, size=3)
-        assert predict_rule(rule, x) == pytest.approx(1.0 * x[0] - 2.0 * x[1] + 0.5 * x[2] + 0.25, rel=1e-12)
+        expected = 1.0 * x[0] - 2.0 * x[1] + 0.5 * x[2] + 0.25
+        assert mix_predict([rule], x[None, :])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         rule = make_rule([-1.0], [1.0], [1.0])
         with pytest.raises(ValueError):
-            predict_rule(rule, np.zeros(2))
+            mix_predict([rule], np.zeros((1, 2)))
 
 
 class TestPool:
