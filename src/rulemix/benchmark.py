@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, monte_carlo_split
 from .errors import DataError, DegenerateTestError
 from .learner import LearnerConfig, config_to_dict, fit
-from .persistence import _write_json
+from .persistence import _atomic_open, _write_json
 from .rng import derive_seed
 from .stats import wilcoxon_signed_rank
 
@@ -287,7 +287,7 @@ def write_report_json(report: BenchmarkReport, path) -> None:
 
 
 def write_records_csv(report: BenchmarkReport, path) -> None:
-    with open(str(path), "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["dataset", "seed_index", "split_index", "mse_sigma", "mse_original", "baseline_mse_sigma", "complexity"]

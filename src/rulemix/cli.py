@@ -19,7 +19,7 @@ from .data import Dataset, gen_piecewise_linear, load_csv, read_numeric_csv, wri
 from .describe import describe_model, describe_rule
 from .errors import ConfigError, DataError, ModelFormatError
 from .learner import LearnerConfig, config_from_dict, config_to_dict, fit
-from .persistence import load_model, model_document, save_model
+from .persistence import _atomic_open, load_model, model_document, save_model
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -251,7 +251,7 @@ def cmd_benchmark(args) -> int:
     write_report_json(report, os.path.join(args.out, "report.json"))
     write_records_csv(report, os.path.join(args.out, "records.csv"))
     summary = format_summary_text(report)
-    with open(os.path.join(args.out, "summary.txt"), "w") as fh:
+    with _atomic_open(os.path.join(args.out, "summary.txt")) as fh:
         fh.write(summary)
 
     if args.format == "machine":

@@ -89,11 +89,13 @@ class PoolEvaluator:
     def __init__(self, pool: Pool, X: np.ndarray, y: np.ndarray):
         self.pool_size = len(pool)
         self.y = y
+        X = np.ascontiguousarray(X, dtype=float)
+        X_columns = np.asfortranarray(X)
         # C order: reducing over axis 0 adds whole rows one after another
         self.weighted_outputs = np.zeros((self.pool_size, X.shape[0]))
         self.weights = np.zeros((self.pool_size, X.shape[0]))
         for index, rule in enumerate(pool):
-            mask, weight, weighted_outputs = mixing_terms(rule, X)
+            mask, weight, weighted_outputs = mixing_terms(rule, X, X_columns)
             self.weighted_outputs[index, mask] = weighted_outputs[mask]
             self.weights[index, mask] = weight
         self._cache: dict[tuple[FitnessParams, bytes], SolutionIndividual] = {}

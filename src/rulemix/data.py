@@ -145,7 +145,9 @@ class TransformState:
         return int(self.feature_min.shape[0])
 
     def transform_features(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        """Scaled features, C-ordered whatever the order of X, so that
+        fitting and predicting do not depend on the caller's layout."""
+        X = np.ascontiguousarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DataError(f"expected 2-d input with {self.dim} features, got shape {X.shape}")
         span = self.feature_max - self.feature_min

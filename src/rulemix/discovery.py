@@ -140,7 +140,8 @@ def discover_rules(
 
     Each run draws from its own stream derived from (master_seed,
     cycle_index, run index), so results do not depend on the order the
-    runs execute in.
+    runs execute in. A Fortran-ordered X gives the same rules and, for
+    d > 1, matches them many times faster.
     """
     if X.shape[0] != y.shape[0] or X.shape[0] != np.asarray(errors).shape[0]:
         raise ValueError("X, y, and errors must have one entry per training example")

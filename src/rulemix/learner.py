@@ -137,6 +137,9 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     transform, X_scaled, y_scaled = fit_transform(X, y)
+    # Rule discovery only matches and picks rows, which is fastest on a
+    # column-major copy; mixing reads the C-ordered X_scaled
+    X_columns = np.asfortranarray(X_scaled)
 
     pool = Pool()
     elitist: SolutionIndividual | None = None
@@ -149,7 +152,7 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
             errors = (y_scaled - predictions) ** 2
         pool.extend(
             discover_rules(
-                X_scaled,
+                X_columns,
                 y_scaled,
                 errors,
                 config.es,

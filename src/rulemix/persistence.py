@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -60,18 +62,26 @@ def model_document(model: TrainedModel) -> dict:
     }
 
 
-def _write_json(doc: dict, path) -> None:
-    """Write doc as indented, key-sorted JSON through a temporary file in
-    the same directory, so a failed write leaves any earlier file whole."""
+@contextmanager
+def _atomic_open(path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a temporary file in path's directory for writing and move it
+    onto path when the block ends, so a failed write leaves any earlier
+    file whole and no temporary file behind."""
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temporary, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with open(temporary, "w", newline=newline) as fh:
+            yield fh
         os.replace(temporary, path)
     finally:
         if os.path.exists(temporary):
             os.remove(temporary)
+
+
+def _write_json(doc: dict, path) -> None:
+    """Write doc as indented, key-sorted JSON, atomically."""
+    with _atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_model(model: TrainedModel, path) -> None:

@@ -10,7 +10,7 @@ is a stable identifier for the whole run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,7 +49,10 @@ class Rule:
 
 
 def match_mask(lower: np.ndarray, upper: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Boolean mask of the rows of X inside [lower, upper] in every dimension."""
+    """Boolean mask of the rows of X inside [lower, upper] in every dimension.
+
+    Either memory order gives the same mask; for d > 1 a Fortran-ordered
+    (column-major) X is many times faster."""
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
     if X.shape[1] != lower.shape[0]:
@@ -81,6 +84,8 @@ def fit_submodel(
     Minimizes the sum of squared residuals plus ridge_coeff times the
     squared coefficient norm; the intercept is not penalized. Passing
     fitness_params also stamps the rule's fitness, otherwise it is 0.
+    X[mask] is C-ordered whatever the order of X, so either order gives
+    the same fit bit for bit.
     """
     if not ridge_coeff >= 0:
         raise ValueError(f"ridge_coeff must be non-negative, got {ridge_coeff}")
@@ -121,26 +126,28 @@ def fit_submodel(
 
     residuals = ym - (Xm @ coefficients + intercept)
     mse = float(residuals @ residuals) / n_matched
-    rule = Rule(
+    volume = _volume(lower, upper)
+    return Rule(
         lower=lower,
         upper=upper,
         coefficients=_readonly(coefficients),
         intercept=intercept,
         in_sample_mse=mse,
         experience=n_matched,
-        volume=_volume(lower, upper),
-        fitness=0.0,
+        volume=volume,
+        fitness=0.0 if fitness_params is None else _fitness(mse, volume, fitness_params),
     )
-    if fitness_params is not None:
-        rule = replace(rule, fitness=rule_fitness(rule, fitness_params))
-    return rule
+
+
+def _fitness(mse: float, volume: float, params: FitnessParams) -> float:
+    if not math.isfinite(mse):
+        raise NotFittedError("rule has no fitted submodel")
+    return combine(pseudo_accuracy(mse, params.beta), volume, params.alpha)
 
 
 def rule_fitness(rule: Rule, params: FitnessParams) -> float:
     """Blend of the rule's error pseudo-accuracy and its volume share."""
-    if not math.isfinite(rule.in_sample_mse):
-        raise NotFittedError("rule has no fitted submodel")
-    return combine(pseudo_accuracy(rule.in_sample_mse, params.beta), rule.volume, params.alpha)
+    return _fitness(rule.in_sample_mse, rule.volume, params)
 
 
 class Pool:
@@ -171,12 +178,19 @@ class Pool:
         return iter(self._rules)
 
 
-def mixing_terms(rule: Rule, X: np.ndarray, eps: float = MIX_EPS) -> tuple[np.ndarray, float, np.ndarray]:
+def mixing_terms(
+    rule: Rule, X: np.ndarray, X_columns: np.ndarray, eps: float = MIX_EPS
+) -> tuple[np.ndarray, float, np.ndarray]:
     """A rule's part in the mix at the rows of X: the mask of the rows it
     matches, its weight experience / (mse + eps), and its output times
-    that weight at every row."""
+    that weight at every row.
+
+    X must be C-ordered and X_columns its Fortran-ordered copy: the mask
+    is read from the copy, where matching is fast, and the outputs from
+    X, since X @ coefficients rounds differently in the two orders.
+    """
     weight = rule.experience / (rule.in_sample_mse + eps)
-    return match_mask(rule.lower, rule.upper, X), weight, weight * (X @ rule.coefficients + rule.intercept)
+    return match_mask(rule.lower, rule.upper, X_columns), weight, weight * (X @ rule.coefficients + rule.intercept)
 
 
 def mix_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -192,14 +206,16 @@ def mix_predict(rules: Sequence[Rule], X, eps: float = MIX_EPS) -> np.ndarray:
 
     Each matching rule contributes with weight experience / (mse + eps).
     Rows matched by no rule predict 0, the standardized target mean.
+    The result does not depend on the memory order of X.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
+    X_columns = np.asfortranarray(X)
     numerator = np.zeros(X.shape[0])
     denominator = np.zeros(X.shape[0])
     for rule in rules:
-        mask, weight, weighted_outputs = mixing_terms(rule, X, eps)
+        mask, weight, weighted_outputs = mixing_terms(rule, X, X_columns, eps)
         numerator[mask] += weighted_outputs[mask]
         denominator[mask] += weight
     return mix_ratio(numerator, denominator)

@@ -1,6 +1,8 @@
+import builtins
 import contextlib
 import io
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -276,6 +278,29 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+class DiskFullAfter:
+    """A text file that takes its first `room` characters, then raises
+    OSError as a full disk would."""
+
+    def __init__(self, fh, room: int):
+        self.fh = fh
+        self.room = room
+
+    def write(self, text: str) -> int:
+        self.fh.write(text[: self.room])
+        if len(text) > self.room:
+            raise OSError("disk full")
+        self.room -= len(text)
+        return len(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+
 class TestBenchmark:
     def registry_for(self, tmp_path, names=("one", "two")):
         paths = {}
@@ -316,6 +341,30 @@ class TestBenchmark:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "records.csv").read_bytes() == (out2 / "records.csv").read_bytes()
         assert (out1 / "summary.txt").read_bytes() == (out2 / "summary.txt").read_bytes()
+
+    @pytest.mark.parametrize("name", ["report.json", "records.csv", "summary.txt"])
+    def test_failed_report_write_keeps_the_previous_files(self, tmp_path, monkeypatch, capsys, name):
+        """A disk filling up while one report file is written leaves every
+        file of the earlier run as it was and no temporary file behind."""
+        registry = self.registry_for(tmp_path)
+        out = tmp_path / "bench"
+        args = self.benchmark_args(registry, out) + ["--jobs", "1"]
+        assert main(args) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        real_open = builtins.open
+
+        def open_filling_the_disk(file, mode="r", *rest, **kwargs):
+            fh = real_open(file, mode, *rest, **kwargs)
+            if "w" in mode and os.path.basename(str(file)).startswith(name):
+                return DiskFullAfter(fh, 20)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_filling_the_disk)
+        code = main(args)
+        monkeypatch.undo()
+        assert code == EXIT_DATA
+        assert "disk full" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_missing_dataset_gives_partial_exit(self, tmp_path, capsys):
         registry = self.registry_for(tmp_path, names=("good",))

@@ -15,6 +15,7 @@ from rulemix import (
     fit,
     fit_transform,
     mix_predict,
+    model_document,
 )
 from rulemix.composition import SolutionIndividual
 from rulemix.errors import ConfigError, DataError
@@ -187,3 +188,52 @@ class TestMixingBehavior:
         # at the shared boundary both rules match with equal weight
         out_mid = mix_predict([rule_a, rule_b], np.array([[0.0]]))
         assert out_mid[0] == pytest.approx(0.5, rel=1e-12)
+
+
+def four_feature_data(n: int = 1000, seed: int = 1):
+    gen = np.random.default_rng(seed)
+    X = gen.uniform(0.0, 1.0, size=(n, 4))
+    return X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2] + X[:, 3]
+
+
+class TestInputLayout:
+    """The caller's memory order of X changes neither the model nor its
+    predictions; X @ coefficients rounds differently on Fortran order,
+    so the features have to reach the mixer C-ordered."""
+
+    # a case where the fitted model used to depend on the input order
+    CONFIG = small_config(master_seed=1, es=ESConfig(lambda_=6, delta=2, n_rules=8))
+
+    def test_fortran_ordered_training_data_gives_the_same_model(self):
+        X, y = four_feature_data()
+        from_c = fit(X, y, self.CONFIG)
+        from_fortran = fit(np.asfortranarray(X), y, self.CONFIG)
+        assert model_document(from_fortran) == model_document(from_c)
+        assert np.array_equal(from_fortran.predict(X), from_c.predict(X))
+
+    def test_fortran_ordered_query_gives_the_same_predictions(self):
+        X, y = four_feature_data(n=400, seed=2)
+        model = fit(X, y, small_config(master_seed=2))
+        query = np.random.default_rng(3).uniform(0.0, 1.0, size=(2000, 4))
+        assert np.array_equal(model.predict(np.asfortranarray(query)), model.predict(query))
+        scaled = model.transform.transform_features(query)
+        assert np.array_equal(model.predict_scaled(np.asfortranarray(scaled)), model.predict_scaled(scaled))
+
+    def test_scaled_features_are_c_ordered(self):
+        X, y = four_feature_data(n=50)
+        transform, X_scaled, _ = fit_transform(np.asfortranarray(X), y)
+        assert X_scaled.flags.c_contiguous
+        assert transform.transform_features(np.asfortranarray(X)).flags.c_contiguous
+
+    def test_discovery_matches_on_column_major_features(self, monkeypatch):
+        seen = []
+        real_discover = rulemix.learner.discover_rules
+
+        def spy(X, *args, **kwargs):
+            seen.append((X.flags.f_contiguous, X.flags.c_contiguous))
+            return real_discover(X, *args, **kwargs)
+
+        monkeypatch.setattr(rulemix.learner, "discover_rules", spy)
+        X, y = linear_data(n=60, d=3, seed=4)
+        fit(X, y, small_config())
+        assert seen == [(True, False)] * small_config().n_iter

@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from rulemix import (
     save_model,
     write_report_json,
 )
-from rulemix.benchmark import BenchmarkReport
+from rulemix.benchmark import BenchmarkReport, RunRecord, write_records_csv
 from rulemix.errors import ModelFormatError, ModelVersionError
 from rulemix.persistence import FORMAT_VERSION, document_to_model
 
@@ -299,20 +301,19 @@ class TestVolumeCheck:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("kind", ["model", "report"])
+    @pytest.mark.parametrize("kind", ["model", "report", "records"])
     def test_failed_write_keeps_the_previous_file(self, trained, tmp_path, monkeypatch, kind):
         model, _ = trained
+        records = [RunRecord("d", seed, 0, 0.5, 1.5, 1.0, 3, 0.1) for seed in range(3)]
         report = BenchmarkReport(
-            master_seed=0, n_seeds=1, n_splits=1, test_fraction=0.25, config=model.config, dataset_names=["d"], records=[]
+            master_seed=0, n_seeds=3, n_splits=1, test_fraction=0.25, config=model.config, dataset_names=["d"], records=records
         )
-        path = tmp_path / "out.json"
-
-        def write():
-            if kind == "model":
-                save_model(model, path)
-            else:
-                write_report_json(report, path)
-
+        path = tmp_path / "out"
+        write = {
+            "model": lambda: save_model(model, path),
+            "report": lambda: write_report_json(report, path),
+            "records": lambda: write_records_csv(report, path),
+        }[kind]
         write()
         before = path.read_bytes()
 
@@ -320,11 +321,26 @@ class TestAtomicWrites:
             fh.write(json.dumps(doc)[:20])
             raise OSError("disk full")
 
+        real_writer = csv.writer
+
+        def writer_failing_on_third_row(fh):
+            writer = real_writer(fh)
+            rows = []
+
+            def writerow(row):
+                rows.append(row)
+                if len(rows) == 3:
+                    raise OSError("disk full")
+                writer.writerow(row)
+
+            return SimpleNamespace(writerow=writerow)
+
         monkeypatch.setattr(json, "dump", dump_half_then_fail)
+        monkeypatch.setattr(csv, "writer", writer_failing_on_third_row)
         with pytest.raises(OSError, match="disk full"):
             write()
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["out.json"]
+        assert os.listdir(tmp_path) == ["out"]
 
 
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rulemix import (
     FitnessParams,
     Pool,
+    PoolEvaluator,
     Rule,
     fit_submodel,
     match_mask,
@@ -145,6 +149,14 @@ class TestFitSubmodel:
         assert rule.fitness == rule_fitness(rule, params)
         plain = fit_submodel(np.array([-1.0]), np.array([1.0]), X, y)
         assert plain.fitness == 0.0
+
+    def test_non_finite_mse_raises_when_fitness_is_stamped(self):
+        X = np.array([[0.0], [0.5]])
+        y = np.array([1.0, np.inf])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NotFittedError):
+                fit_submodel(np.array([-1.0]), np.array([1.0]), X, y, fitness_params=FitnessParams())
+            assert math.isnan(fit_submodel(np.array([-1.0]), np.array([1.0]), X, y).in_sample_mse)
 
     def test_empty_match_raises(self):
         X = np.array([[0.8], [0.9]])
@@ -299,3 +311,98 @@ def test_experience_weighting_shifts_the_mix():
     light = make_rule([-1.0], [1.0], [0.0], intercept=0.0, mse=0.5, experience=10)
     out = mix_predict([heavy, light], np.array([[0.0]]))
     assert out[0] == pytest.approx(0.75, rel=1e-12)
+
+
+@st.composite
+def boxes_over_rows(draw):
+    """Rows in [-1, 1]^d (some snapped to a coarse grid, so rows fall on
+    box edges), a target, and boxes that each have a data row as one
+    corner, so every box matches at least one row."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 300))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = gen.uniform(-1.0, 1.0, size=(n, d))
+    snapped = gen.random(n) < draw(st.sampled_from([0.0, 0.5]))
+    X[snapped] = np.round(X[snapped] * 4.0) / 4.0
+    y = gen.normal(0.0, 1.0, size=n)
+    boxes = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = X[draw(st.integers(0, n - 1))]
+        b = draw(arrays(np.float64, d, elements=st.floats(-1.0, 1.0)))
+        boxes.append((np.minimum(a, b), np.maximum(a, b)))
+    ridge_coeff = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    return X, y, boxes, ridge_coeff
+
+
+def rule_bits(rule: Rule) -> tuple:
+    scalars = (rule.intercept, rule.in_sample_mse, rule.volume, rule.fitness)
+    return (rule.lower.tobytes(), rule.upper.tobytes(), rule.coefficients.tobytes(), rule.experience,
+            np.array(scalars).tobytes())
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes_over_rows(), st.data())
+def test_memory_order_changes_no_bit(case, data):
+    """Matching, fitting and both mixing paths give the same bits on a
+    C-ordered X and on its Fortran-ordered copy."""
+    X, y, boxes, ridge_coeff = case
+    X_fortran = np.asfortranarray(X)
+    for lower, upper in boxes:
+        assert np.array_equal(match_mask(lower, upper, X_fortran), match_mask(lower, upper, X))
+    rules = [fit_submodel(lower, upper, X, y, ridge_coeff, FitnessParams()) for lower, upper in boxes]
+    rules_fortran = [fit_submodel(lower, upper, X_fortran, y, ridge_coeff, FitnessParams()) for lower, upper in boxes]
+    assert [rule_bits(rule) for rule in rules_fortran] == [rule_bits(rule) for rule in rules]
+    pool = Pool(rules)
+    genome = np.array(data.draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool))), dtype=bool)
+    assert (
+        PoolEvaluator(pool, X_fortran, y).predictions(genome).tobytes()
+        == PoolEvaluator(pool, X, y).predictions(genome).tobytes()
+    )
+    assert mix_predict(rules, X_fortran).tobytes() == mix_predict(rules, X).tobytes()
+
+
+def lstsq_ridge(X: np.ndarray, y: np.ndarray, ridge_coeff: float) -> tuple[np.ndarray, float]:
+    """Ridge fit with an unpenalized intercept as one least-squares
+    problem: the rows [x, 1] stacked on [sqrt(ridge_coeff) * I, 0]."""
+    n, d = X.shape
+    design = np.vstack([np.hstack([X, np.ones((n, 1))]), np.hstack([math.sqrt(ridge_coeff) * np.eye(d), np.zeros((d, 1))])])
+    solution, *_ = np.linalg.lstsq(design, np.concatenate([y, np.zeros(d)]), rcond=None)
+    return solution[:d], float(solution[d])
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes_over_rows())
+def test_fit_submodel_agrees_with_lstsq_oracle(case):
+    X, y, boxes, ridge_coeff = case
+    for lower, upper in boxes:
+        rule = fit_submodel(lower, upper, X, y, ridge_coeff)
+        rows = np.array([np.all((lower <= x) & (x <= upper)) for x in X])
+        coefficients, intercept = lstsq_ridge(X[rows], y[rows], ridge_coeff)
+        scale = max(1.0, float(np.abs(coefficients).max()), abs(intercept))
+        assert rule.experience == int(rows.sum())
+        assert np.allclose(rule.coefficients, coefficients, rtol=0.0, atol=1e-8 * scale)
+        assert rule.intercept == pytest.approx(intercept, abs=1e-8 * scale)
+        residuals = y[rows] - (X[rows] @ coefficients + intercept)
+        assert rule.in_sample_mse == pytest.approx(float(np.mean(residuals**2)), rel=1e-7, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(boxes_over_rows())
+def test_mixed_prediction_lies_within_the_matching_rules_outputs(case):
+    """A weighted average of the matching rules' outputs lies between
+    their smallest and largest output, up to rounding; a row no rule
+    matches predicts exactly 0.0."""
+    X, y, boxes, ridge_coeff = case
+    rules = [fit_submodel(lower, upper, X, y, ridge_coeff) for lower, upper in boxes]
+    # rows outside every box as well as the training rows
+    query = np.vstack([X, np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, X.shape[1]))])
+    predictions = mix_predict(rules, query)
+    outputs = np.array([query @ rule.coefficients + rule.intercept for rule in rules])
+    matched = np.array([match_mask(rule.lower, rule.upper, query) for rule in rules])
+    for i, prediction in enumerate(predictions):
+        at_row = outputs[matched[:, i], i]
+        if at_row.size == 0:
+            assert prediction == 0.0 and not math.copysign(1.0, prediction) < 0
+            continue
+        slack = 1e-12 * max(1.0, float(np.abs(at_row).max()))
+        assert at_row.min() - slack <= prediction <= at_row.max() + slack
