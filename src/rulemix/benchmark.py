@@ -17,10 +17,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, monte_carlo_split
+from .data import Dataset, _atomic_open, monte_carlo_split
 from .errors import DataError, DegenerateTestError
 from .learner import LearnerConfig, config_to_dict, fit
-from .persistence import _atomic_open, _write_json
+from .persistence import _write_json
 from .rng import derive_seed
 from .stats import wilcoxon_signed_rank
 

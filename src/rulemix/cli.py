@@ -15,11 +15,11 @@ import time
 from dataclasses import replace
 
 from .benchmark import BenchmarkReport, format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
-from .data import Dataset, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
+from .data import Dataset, _atomic_open, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
 from .describe import describe_model, describe_rule
 from .errors import ConfigError, DataError, ModelFormatError
 from .learner import LearnerConfig, config_from_dict, config_to_dict, fit
-from .persistence import _atomic_open, load_model, model_document, save_model
+from .persistence import load_model, model_document, save_model
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -157,7 +157,7 @@ def cmd_predict(args) -> int:
         raise DataError(f"{args.data}: model expects {model.transform.dim} feature columns, file has {len(header)}")
     predictions = model.predict(X)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with _atomic_open(args.out, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["prediction"])
             for value in predictions:

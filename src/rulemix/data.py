@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from pathlib import PurePath
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NoReturn
+from pathlib import PurePath
+from typing import Iterator, NoReturn, TextIO
 
 import numpy as np
 
@@ -118,9 +120,24 @@ def load_csv(path, target_column: str | None = None, name: str | None = None) ->
     )
 
 
+@contextmanager
+def _atomic_open(path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a temporary file in path's directory for writing and move it
+    onto path when the block ends, so a failed write leaves any earlier
+    file whole and no temporary file behind."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", newline=newline) as fh:
+            yield fh
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a Dataset back to CSV, features first, target last."""
-    with open(str(path), "w", newline="") as fh:
+    """Write a Dataset back to CSV, features first, target last, atomically."""
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*dataset.feature_names, dataset.target_name])
         for x_row, y_val in zip(dataset.X, dataset.y):

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, EmptyMatchError
 from .fitness import FitnessParams
 from .rng import spawn_rng
-from .rules import Rule, fit_submodel
+from .rules import Rule, _check_bounds, _fitness, _match_matrix, _ridge_fit, _volume, fit_submodel
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,37 @@ def init_interval(seed_point: np.ndarray, init_spread: float, rng: np.random.Gen
     return lower, upper
 
 
-def mutate(lower: np.ndarray, upper: np.ndarray, mutation_spread: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Expand an interval by half-normal steps on each side of each dimension.
+def mutate(
+    lower: np.ndarray, upper: np.ndarray, mutation_spread: float, n_children: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draft n_children children of an interval, each expanded by
+    half-normal steps on each side of each dimension.
 
-    The child always contains the parent; bounds are clipped to [-1, 1].
+    Returns (n_children, d) lower and upper bounds. Every child contains
+    the parent; bounds are clipped to [-1, 1]. One draw of shape
+    (n_children, 2, d) gives the numbers n_children draws of shape (2, d)
+    would, and leaves rng in the same state.
     """
-    steps = np.abs(rng.normal(0.0, mutation_spread, size=(2, lower.shape[0])))
-    return np.maximum(lower - steps[0], -1.0), np.minimum(upper + steps[1], 1.0)
+    steps = np.abs(rng.normal(0.0, mutation_spread, size=(n_children, 2, lower.shape[0])))
+    return np.maximum(lower - steps[:, 0], -1.0), np.minimum(upper + steps[:, 1], 1.0)
+
+
+def _score_children(
+    lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray, y: np.ndarray, ridge_coeff: float, fitness_params: FitnessParams
+) -> list[float]:
+    """Fitness of each child [lowers[i], uppers[i]], bit for bit what
+    fit_submodel stamps on it, with fit_submodel's checks made once for
+    the whole generation."""
+    _check_bounds(lowers, uppers)
+    matched = _match_matrix(lowers, uppers, X)
+    if not matched.any(axis=1).all():
+        raise EmptyMatchError("rule matches no training example")
+    volumes = _volume(lowers, uppers).tolist()
+    fitnesses = []
+    for mask, volume in zip(matched, volumes):
+        _, _, mse = _ridge_fit(X[mask], y[mask], ridge_coeff)
+        fitnesses.append(_fitness(mse, volume, fitness_params))
+    return fitnesses
 
 
 def evolve_rule(
@@ -106,24 +130,27 @@ def evolve_rule(
 
     The seed example lies inside its initial interval and mutation only
     widens, so every rule of the run matches at least the seed example.
+    Each generation is scored in one _score_children call; fit_submodel
+    fits the first parent and the returned rule.
     """
     seed_index = select_seed_example(errors, rng)
     lower, upper = init_interval(X[seed_index], config.init_spread, rng)
-    candidate = parent = fit_submodel(lower, upper, X, y, ridge_coeff, fitness_params)
+    first = fit_submodel(lower, upper, X, y, ridge_coeff, fitness_params)
+    lower, upper, best_fitness = first.lower, first.upper, first.fitness
+    best_lower, best_upper = lower, upper
     stale = 0
     while stale < config.delta:
-        children = (
-            fit_submodel(*mutate(parent.lower, parent.upper, config.mutation_spread, rng), X, y, ridge_coeff, fitness_params)
-            for _ in range(config.lambda_)
-        )
-        # max keeps the first of equally fit children
-        parent = max(children, key=lambda child: child.fitness)
-        if parent.fitness > candidate.fitness:
-            candidate = parent
+        lowers, uppers = mutate(lower, upper, config.mutation_spread, config.lambda_, rng)
+        fitnesses = _score_children(lowers, uppers, X, y, ridge_coeff, fitness_params)
+        # the first of equally fit children wins
+        child = fitnesses.index(max(fitnesses))
+        lower, upper = lowers[child], uppers[child]
+        if fitnesses[child] > best_fitness:
+            best_lower, best_upper, best_fitness = lower, upper, fitnesses[child]
             stale = 0
         else:
             stale += 1
-    return candidate
+    return fit_submodel(best_lower, best_upper, X, y, ridge_coeff, fitness_params)
 
 
 def discover_rules(

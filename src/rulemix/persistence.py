@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from contextlib import contextmanager
-from typing import Iterator, TextIO
 
 import numpy as np
 
 from .composition import SolutionIndividual
-from .data import TransformState
+from .data import TransformState, _atomic_open
 from .errors import ConfigError, ModelFormatError, ModelVersionError
 from .learner import LearnerConfig, TrainedModel, config_from_dict, config_to_dict
 from .rules import Pool, Rule, _volume
@@ -60,21 +57,6 @@ def model_document(model: TrainedModel) -> dict:
         },
         "config": config_to_dict(model.config),
     }
-
-
-@contextmanager
-def _atomic_open(path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open a temporary file in path's directory for writing and move it
-    onto path when the block ends, so a failed write leaves any earlier
-    file whole and no temporary file behind."""
-    temporary = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(temporary, "w", newline=newline) as fh:
-            yield fh
-        os.replace(temporary, path)
-    finally:
-        if os.path.exists(temporary):
-            os.remove(temporary)
 
 
 def _write_json(doc: dict, path) -> None:

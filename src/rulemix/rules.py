@@ -66,9 +66,30 @@ def match_set(rule: Rule, X) -> np.ndarray:
     return np.flatnonzero(match_mask(rule.lower, rule.upper, X))
 
 
-def _volume(lower: np.ndarray, upper: np.ndarray) -> float:
-    """Share of the scaled feature box [-1, 1]^d that [lower, upper] covers."""
-    return float(np.prod((upper - lower) / 2.0))
+def _volume(lower: np.ndarray, upper: np.ndarray):
+    """Share of the scaled feature box [-1, 1]^d that [lower, upper] covers;
+    one share per row for (k, d) stacks of bounds."""
+    return np.prod((upper - lower) / 2.0, axis=-1)
+
+
+def _check_bounds(lower: np.ndarray, upper: np.ndarray) -> None:
+    """Reject bounds outside -1 <= lower <= upper <= 1, for one rule or for
+    a stack of them."""
+    if np.any(lower > upper) or np.any(lower < -1.0) or np.any(upper > 1.0):
+        raise ValueError("bounds must satisfy -1 <= lower <= upper <= 1 in every dimension")
+
+
+def _match_matrix(lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Boolean (k, n) matrix whose row i is match_mask(lowers[i], uppers[i], X).
+
+    Built one feature column at a time, which reads a Fortran-ordered X
+    contiguously."""
+    matched = np.ones((lowers.shape[0], X.shape[0]), dtype=bool)
+    for j in range(X.shape[1]):
+        column = X[:, j]
+        matched &= column >= lowers[:, j, None]
+        matched &= column <= uppers[:, j, None]
+    return matched
 
 
 def fit_submodel(
@@ -93,22 +114,37 @@ def fit_submodel(
     upper = _readonly(upper)
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower and upper must be 1-d arrays of equal length")
-    if np.any(lower > upper) or np.any(lower < -1.0) or np.any(upper > 1.0):
-        raise ValueError("bounds must satisfy -1 <= lower <= upper <= 1 in every dimension")
+    _check_bounds(lower, upper)
     mask = match_mask(lower, upper, X)
     n_matched = int(np.count_nonzero(mask))
     if n_matched == 0:
         raise EmptyMatchError("rule matches no training example")
-    Xm = X[mask]
-    ym = y[mask]
+    coefficients, intercept, mse = _ridge_fit(X[mask], y[mask], ridge_coeff)
+    volume = float(_volume(lower, upper))
+    return Rule(
+        lower=lower,
+        upper=upper,
+        coefficients=_readonly(coefficients),
+        intercept=intercept,
+        in_sample_mse=mse,
+        experience=n_matched,
+        volume=volume,
+        fitness=0.0 if fitness_params is None else _fitness(mse, volume, fitness_params),
+    )
 
+
+def _ridge_fit(Xm: np.ndarray, ym: np.ndarray, ridge_coeff: float) -> tuple[np.ndarray, float, float]:
+    """Ridge fit of ym on the n >= 1 rows of Xm: (coefficients, intercept,
+    in-sample MSE)."""
+    n = Xm.shape[0]
     # Centering makes the penalty apply to the slope only: for any fixed
-    # slope the optimal intercept is y_mean - x_mean @ w.
-    x_mean = Xm.mean(axis=0)
-    y_mean = ym.mean()
+    # slope the optimal intercept is y_mean - x_mean @ w. The means are
+    # np.mean's own arithmetic without its per-call wrapping.
+    x_mean = np.add.reduce(Xm, axis=0) / n
+    y_mean = np.add.reduce(ym) / n
     Xc = Xm - x_mean
     yc = ym - y_mean
-    d = X.shape[1]
+    d = Xm.shape[1]
     if d == 1:
         xc = Xc[:, 0]
         gram00 = float(xc @ xc) + ridge_coeff
@@ -125,18 +161,7 @@ def fit_submodel(
     intercept = float(y_mean - x_mean @ coefficients)
 
     residuals = ym - (Xm @ coefficients + intercept)
-    mse = float(residuals @ residuals) / n_matched
-    volume = _volume(lower, upper)
-    return Rule(
-        lower=lower,
-        upper=upper,
-        coefficients=_readonly(coefficients),
-        intercept=intercept,
-        in_sample_mse=mse,
-        experience=n_matched,
-        volume=volume,
-        fitness=0.0 if fitness_params is None else _fitness(mse, volume, fitness_params),
-    )
+    return coefficients, intercept, float(residuals @ residuals) / n
 
 
 def _fitness(mse: float, volume: float, params: FitnessParams) -> float:

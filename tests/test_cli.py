@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import csv
 import io
 import json
 import os
@@ -276,6 +277,46 @@ class TestGen:
         main(["gen", "--out", str(a), "--n", "50", "--seed", "9"])
         main(["gen", "--out", str(b), "--n", "50", "--seed", "9"])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command", ["predict", "gen"])
+    def test_failed_write_keeps_the_previous_file(self, model_path, tmp_path, monkeypatch, capsys, command):
+        """A csv writer failing on its third row leaves the earlier 51-line
+        output byte-identical and no temporary file behind."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "result.csv"
+        if command == "predict":
+            features = tmp_path / "query.csv"
+            write_feature_csv(features, np.random.default_rng(7).uniform(-2, 6, size=(50, 2)))
+            argv = ["predict", str(model_path), str(features), "--out", str(out)]
+        else:
+            argv = ["gen", "--out", str(out), "--n", "50", "--seed", "3"]
+        assert main(argv) == EXIT_OK
+        before = out.read_bytes()
+        assert len(before.splitlines()) == 51
+        real_writer = csv.writer
+
+        def writer_failing_on_third_row(fh):
+            writer = real_writer(fh)
+            rows = []
+
+            def writerow(row):
+                rows.append(row)
+                if len(rows) == 3:
+                    raise OSError("disk full")
+                writer.writerow(row)
+
+            return SimpleNamespace(writerow=writerow)
+
+        monkeypatch.setattr(csv, "writer", writer_failing_on_third_row)
+        code = main(argv)
+        monkeypatch.undo()
+        assert code == EXIT_DATA
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert os.listdir(out_dir) == ["result.csv"]
 
 
 class DiskFullAfter:

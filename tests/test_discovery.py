@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemix import (
     ESConfig,
@@ -14,7 +17,10 @@ from rulemix import (
     mutate,
     select_seed_example,
 )
-from rulemix.errors import ConfigError
+from rulemix import discovery
+from rulemix.discovery import _score_children
+from rulemix.errors import ConfigError, EmptyMatchError, NotFittedError
+from rulemix.rules import _match_matrix
 
 
 class TestESConfig:
@@ -102,12 +108,12 @@ class TestMutate:
         rng = np.random.default_rng(8)
         lower = np.array([-0.3, 0.1])
         upper = np.array([0.2, 0.4])
-        for _ in range(300):
-            new_lower, new_upper = mutate(lower, upper, 0.1, rng)
-            assert np.all(new_lower <= lower)
-            assert np.all(new_upper >= upper)
-            assert np.all(new_lower >= -1.0)
-            assert np.all(new_upper <= 1.0)
+        new_lowers, new_uppers = mutate(lower, upper, 0.1, 300, rng)
+        assert new_lowers.shape == new_uppers.shape == (300, 2)
+        assert np.all(new_lowers <= lower)
+        assert np.all(new_uppers >= upper)
+        assert np.all(new_lowers >= -1.0)
+        assert np.all(new_uppers <= 1.0)
 
     def test_mean_width_growth(self):
         # each side grows by E|N(0, 0.1)| on average, so a width of 0.2
@@ -115,9 +121,137 @@ class TestMutate:
         rng = np.random.default_rng(9)
         lower = np.array([-0.1])
         upper = np.array([0.1])
-        draws = 60000
-        widths = [float(u[0] - l[0]) for l, u in (mutate(lower, upper, 0.1, rng) for _ in range(draws))]
-        assert float(np.mean(widths)) == pytest.approx(0.3595769121605731, abs=0.002)
+        new_lowers, new_uppers = mutate(lower, upper, 0.1, 60000, rng)
+        assert float(np.mean(new_uppers[:, 0] - new_lowers[:, 0])) == pytest.approx(0.3595769121605731, abs=0.002)
+
+    def test_one_generation_draw_equals_successive_child_draws(self):
+        lower = np.array([-0.3, 0.1, 0.5])
+        upper = np.array([0.2, 0.4, 0.9])
+        rng = np.random.default_rng(10)
+        reference = np.random.default_rng(10)
+        new_lowers, new_uppers = mutate(lower, upper, 0.1, 7, rng)
+        for child in range(7):
+            steps = np.abs(reference.normal(0.0, 0.1, size=(2, 3)))
+            assert np.maximum(lower - steps[0], -1.0).tobytes() == new_lowers[child].tobytes()
+            assert np.minimum(upper + steps[1], 1.0).tobytes() == new_uppers[child].tobytes()
+        assert rng.random() == reference.random()
+
+
+def sequential_evolve_rule(X, y, errors, config, fitness_params, ridge_coeff, rng):
+    """The reference ES run: one (2, d) mutation draw and one fit_submodel
+    per child, and max over the children of a generation."""
+    seed_index = select_seed_example(errors, rng)
+    lower, upper = init_interval(X[seed_index], config.init_spread, rng)
+    candidate = parent = fit_submodel(lower, upper, X, y, ridge_coeff, fitness_params)
+    stale = 0
+    while stale < config.delta:
+        children = []
+        for _ in range(config.lambda_):
+            steps = np.abs(rng.normal(0.0, config.mutation_spread, size=(2, parent.lower.shape[0])))
+            child_lower = np.maximum(parent.lower - steps[0], -1.0)
+            child_upper = np.minimum(parent.upper + steps[1], 1.0)
+            children.append(fit_submodel(child_lower, child_upper, X, y, ridge_coeff, fitness_params))
+        parent = max(children, key=lambda child: child.fitness)
+        if parent.fitness > candidate.fitness:
+            candidate = parent
+            stale = 0
+        else:
+            stale += 1
+    return candidate
+
+
+def rule_bits(rule):
+    """Every field of a rule as bytes, so that equal means bit for bit."""
+    return tuple(np.asarray(getattr(rule, f.name)).tobytes() for f in dataclasses.fields(rule))
+
+
+@st.composite
+def es_problems(draw):
+    """Random data, ES settings and generator seed; X in either memory order."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 4))
+    X = gen.uniform(-1.0, 1.0, size=(n, d))
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    noise = draw(st.sampled_from([0.0, 0.1]))
+    y = np.where(X[:, 0] < 0.0, X @ gen.normal(size=d), 1.0) + gen.normal(0.0, noise, size=n)
+    errors = gen.uniform(0.0, 1.0, size=n)
+    config = ESConfig(
+        lambda_=draw(st.integers(1, 8)),
+        delta=draw(st.integers(1, 4)),
+        mutation_spread=draw(st.sampled_from([0.03, 0.1, 0.4])),
+    )
+    ridge = draw(st.sampled_from([0.0, 0.01, 1.0]))
+    return X, y, errors, config, ridge, draw(st.integers(0, 2**32 - 1))
+
+
+@given(es_problems())
+@settings(max_examples=150, deadline=None)
+def test_evolve_rule_equals_sequential_reference_bitwise(problem):
+    X, y, errors, config, ridge, seed = problem
+    params = FitnessParams()
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    rule = evolve_rule(X, y, errors, config, params, ridge, rng)
+    reference = sequential_evolve_rule(X, y, errors, config, params, ridge, reference_rng)
+    assert rule_bits(rule) == rule_bits(reference)
+    assert rng.random() == reference_rng.random()
+
+
+@given(es_problems(), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_generation_scores_equal_fit_submodel_bitwise(problem, n_children):
+    X, y, errors, config, ridge, seed = problem
+    params = FitnessParams()
+    rng = np.random.default_rng(seed)
+    lower, upper = init_interval(X[rng.integers(X.shape[0])], config.init_spread, rng)
+    lowers, uppers = mutate(lower, upper, config.mutation_spread, n_children, rng)
+    # rows on the children's corners test the closed bounds
+    order = "F" if np.isfortran(X) else "C"
+    X = np.vstack([X, lowers, uppers]).copy(order=order)
+    y = np.concatenate([y, rng.normal(size=2 * n_children)])
+    matched = _match_matrix(lowers, uppers, X)
+    fitnesses = _score_children(lowers, uppers, X, y, ridge, params)
+    assert len(fitnesses) == n_children
+    for child in range(n_children):
+        assert matched[child].tobytes() == match_mask(lowers[child], uppers[child], X).tobytes()
+        reference = fit_submodel(lowers[child], uppers[child], X, y, ridge, params).fitness
+        assert np.float64(fitnesses[child]).tobytes() == np.float64(reference).tobytes()
+
+
+class TestGenerationChecks:
+    """fit_submodel's checks still apply to every child, once per generation."""
+
+    @staticmethod
+    def run_with_children(monkeypatch, lowers, uppers, y=None):
+        X, toy_y = TestEvolveRule.toy_problem()
+        monkeypatch.setattr(discovery, "mutate", lambda *args: (np.array(lowers), np.array(uppers)))
+        evolve_rule(X, toy_y if y is None else y, np.ones(len(X)), ESConfig(), FitnessParams(), 0.01, np.random.default_rng(3))
+
+    def test_inverted_child_raises_value_error(self, monkeypatch):
+        with pytest.raises(ValueError, match="-1 <= lower <= upper <= 1"):
+            self.run_with_children(monkeypatch, [[-0.5], [0.3]], [[0.5], [0.2]])
+
+    def test_child_outside_the_box_raises_value_error(self, monkeypatch):
+        with pytest.raises(ValueError, match="-1 <= lower <= upper <= 1"):
+            self.run_with_children(monkeypatch, [[-0.5], [-1.5]], [[0.5], [0.2]])
+
+    def test_child_matching_no_row_raises_empty_match(self, monkeypatch):
+        X, _ = TestEvolveRule.toy_problem()
+        top = float(X.max())
+        with pytest.raises(EmptyMatchError):
+            self.run_with_children(monkeypatch, [[-1.0], [top + 1e-9]], [[1.0], [1.0]])
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_target_raises_not_fitted(self, monkeypatch):
+        # the seed interval misses the bad row, the whole-box child does not
+        X, y = TestEvolveRule.toy_problem()
+        y = y.copy()
+        y[np.argmax(X[:, 0])] = np.inf
+        monkeypatch.setattr(discovery, "select_seed_example", lambda errors, rng: int(np.argmin(X[:, 0])))
+        with pytest.raises(NotFittedError):
+            self.run_with_children(monkeypatch, [[-1.0]], [[1.0]], y)
 
 
 class TestEvolveRule:
