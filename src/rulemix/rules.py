@@ -119,7 +119,20 @@ def fit_submodel(
     n_matched = int(np.count_nonzero(mask))
     if n_matched == 0:
         raise EmptyMatchError("rule matches no training example")
-    coefficients, intercept, mse = _ridge_fit(X[mask], y[mask], ridge_coeff)
+    Xm = X[mask]
+    ym = y[mask]
+    # Centering makes the penalty apply to the slope only: for any fixed
+    # slope the optimal intercept is y_mean - x_mean @ w. The means are
+    # np.mean's own arithmetic without its per-call wrapping.
+    x_mean = np.add.reduce(Xm, axis=0) / n_matched
+    y_mean = np.add.reduce(ym) / n_matched
+    Xc = Xm - x_mean
+    gram = Xc.T @ Xc
+    gram.flat[:: Xm.shape[1] + 1] += ridge_coeff
+    coefficients = _solve_ridge(gram[None], (Xc.T @ (ym - y_mean))[None])[0]
+    intercept = float(y_mean - x_mean @ coefficients)
+    residuals = ym - (Xm @ coefficients + intercept)
+    mse = float(residuals @ residuals) / n_matched
     volume = float(_volume(lower, upper))
     return Rule(
         lower=lower,
@@ -133,35 +146,23 @@ def fit_submodel(
     )
 
 
-def _ridge_fit(Xm: np.ndarray, ym: np.ndarray, ridge_coeff: float) -> tuple[np.ndarray, float, float]:
-    """Ridge fit of ym on the n >= 1 rows of Xm: (coefficients, intercept,
-    in-sample MSE)."""
-    n = Xm.shape[0]
-    # Centering makes the penalty apply to the slope only: for any fixed
-    # slope the optimal intercept is y_mean - x_mean @ w. The means are
-    # np.mean's own arithmetic without its per-call wrapping.
-    x_mean = np.add.reduce(Xm, axis=0) / n
-    y_mean = np.add.reduce(ym) / n
-    Xc = Xm - x_mean
-    yc = ym - y_mean
-    d = Xm.shape[1]
-    if d == 1:
-        xc = Xc[:, 0]
-        gram00 = float(xc @ xc) + ridge_coeff
-        rhs0 = float(xc @ yc)
-        coefficients = np.array([rhs0 / gram00]) if gram00 > 0.0 else np.zeros(1)
-    else:
-        gram = Xc.T @ Xc
-        gram.flat[:: d + 1] += ridge_coeff
-        rhs = Xc.T @ yc
-        try:
-            coefficients = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            coefficients, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    intercept = float(y_mean - x_mean @ coefficients)
+def _solve_ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Coefficients w[i] solving gram[i] @ w[i] = rhs[i] for a (m, d, d)
+    stack of ridge systems and their (m, d) right-hand sides.
 
-    residuals = ym - (Xm @ coefficients + intercept)
-    return coefficients, intercept, float(residuals @ residuals) / n
+    For d = 1 the slope is rhs / gram, or 0 where gram is not > 0. For
+    d > 1 a stack holding a singular system is solved one system at a
+    time, and a singular one by least squares.
+    """
+    if gram.shape[-1] == 1:
+        coefficients = np.zeros_like(rhs)
+        return np.divide(rhs, gram[:, :, 0], out=coefficients, where=gram[:, :, 0] > 0.0)
+    try:
+        return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if gram.shape[0] == 1:
+            return np.linalg.lstsq(gram[0], rhs[0], rcond=None)[0][None]
+        return np.concatenate([_solve_ridge(g[None], r[None]) for g, r in zip(gram, rhs)])
 
 
 def _fitness(mse: float, volume: float, params: FitnessParams) -> float:

@@ -2,9 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemix import (
     Dataset,
+    ESConfig,
+    GAConfig,
     baseline_tests,
     compare_records,
     format_summary_text,
@@ -64,6 +68,45 @@ def small_report():
         test_fraction=0.25,
         master_seed=5,
     )
+
+
+@st.composite
+def benchmark_cases(draw):
+    """Small random datasets, config and grid for run_benchmark."""
+    datasets = []
+    for index in range(draw(st.integers(1, 2))):
+        d = draw(st.integers(1, 3))
+        X, y = linear_data(
+            n=draw(st.integers(20, 60)), d=d, noise=draw(st.sampled_from([0.0, 0.3])), seed=draw(st.integers(0, 2**16))
+        )
+        datasets.append(Dataset(name=f"set{index}", X=X, y=y, feature_names=[f"x{j}" for j in range(d)], target_name="y"))
+    population = draw(st.integers(3, 10))
+    config = small_config(
+        n_iter=draw(st.integers(1, 3)),
+        es=ESConfig(lambda_=draw(st.integers(1, 6)), delta=draw(st.integers(1, 3)), n_rules=draw(st.integers(1, 3))),
+        ga=GAConfig(
+            population_size=population,
+            generations=draw(st.integers(1, 5)),
+            n_elitists=draw(st.integers(1, population - 1)),
+        ),
+        ridge_coeff=draw(st.sampled_from([0.0, 0.01])),
+    )
+    grid = dict(n_seeds=draw(st.integers(1, 2)), n_splits=draw(st.integers(2, 3)), master_seed=draw(st.integers(0, 2**16)))
+    return datasets, config, grid
+
+
+@given(benchmark_cases())
+@settings(max_examples=5, deadline=None)
+def test_report_files_do_not_depend_on_jobs(tmp_path_factory, case):
+    datasets, config, grid = case
+    written = []
+    for jobs in (1, 2):
+        report = run_benchmark(datasets, config=config, jobs=jobs, **grid)
+        directory = tmp_path_factory.mktemp(f"jobs{jobs}")
+        write_report_json(report, directory / "report.json")
+        write_records_csv(report, directory / "records.csv")
+        written.append([(directory / name).read_bytes() for name in ("report.json", "records.csv")])
+    assert written[0] == written[1]
 
 
 class TestRunBenchmark:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rulemix import (
     select_seed_example,
 )
 from rulemix import discovery
-from rulemix.discovery import _score_children
+from rulemix.discovery import _children_mse, _score_children
 from rulemix.errors import ConfigError, EmptyMatchError, NotFittedError
 from rulemix.rules import _match_matrix
 
@@ -167,7 +168,12 @@ def rule_bits(rule):
 
 @st.composite
 def es_problems(draw):
-    """Random data, ES settings and generator seed; X in either memory order."""
+    """Random data, ES settings and generator seed; X in either memory order.
+
+    An init_spread of 1e-6 gives first parents that match fewer rows than
+    d + 1, a mutation_spread of 2 gives children clipped to the walls at
+    -1 and 1, and the target is noiseless in some draws.
+    """
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 300))
     d = draw(st.integers(1, 4))
@@ -180,7 +186,8 @@ def es_problems(draw):
     config = ESConfig(
         lambda_=draw(st.integers(1, 8)),
         delta=draw(st.integers(1, 4)),
-        mutation_spread=draw(st.sampled_from([0.03, 0.1, 0.4])),
+        mutation_spread=draw(st.sampled_from([0.03, 0.1, 0.4, 2.0])),
+        init_spread=draw(st.sampled_from([1e-6, 0.05])),
     )
     ridge = draw(st.sampled_from([0.0, 0.01, 1.0]))
     return X, y, errors, config, ridge, draw(st.integers(0, 2**32 - 1))
@@ -199,25 +206,106 @@ def test_evolve_rule_equals_sequential_reference_bitwise(problem):
     assert rng.random() == reference_rng.random()
 
 
-@given(es_problems(), st.integers(1, 12))
-@settings(max_examples=150, deadline=None)
-def test_generation_scores_equal_fit_submodel_bitwise(problem, n_children):
+# child spreads for single generations; a spread of 1e-6 would make
+# whole ES runs take millions of generations
+CHILD_SPREADS = st.sampled_from([1e-6, 0.03, 0.4, 2.0])
+
+
+def test_best_box_scored_again_is_no_improvement():
+    # the run's parent grows to the whole box [-1, 1]^3, whose children
+    # are all that box again; their batched fitness rounds two ulps above
+    # the best, which must not count as an improvement and lengthen the run
+    X = np.array(
+        [
+            [-0.8287016657127513, -0.5263789868078006, 0.6025489304127938],
+            [0.16432407212873557, -0.8117427155192016, -0.1337461195270524],
+            [-0.04189740371833195, -0.6805221707258429, 0.46915430281842907],
+        ]
+    )
+    y = np.array([-3.1132306130882372, 0.933195365389105, -0.5638311580515464])
+    errors = np.array([0.9562672548360985, 0.28420116374879145, 0.648547207079825])
+    config = ESConfig(lambda_=4, delta=1, mutation_spread=0.1, init_spread=1e-06)
+    rng = np.random.default_rng(60)
+    reference_rng = np.random.default_rng(60)
+    rule = evolve_rule(X, y, errors, config, FitnessParams(), 0.01, rng)
+    reference = sequential_evolve_rule(X, y, errors, config, FitnessParams(), 0.01, reference_rng)
+    assert rule.lower.tolist() == [-1.0, -1.0, -1.0] and rule.upper.tolist() == [1.0, 1.0, 1.0]
+    assert rule_bits(rule) == rule_bits(reference)
+    assert rng.random() == reference_rng.random()
+
+
+def generation(problem, n_children, spread):
+    """A parent drawn around a random row and n_children children of it,
+    with rows added on the children's corners to test the closed bounds."""
     X, y, errors, config, ridge, seed = problem
-    params = FitnessParams()
     rng = np.random.default_rng(seed)
     lower, upper = init_interval(X[rng.integers(X.shape[0])], config.init_spread, rng)
-    lowers, uppers = mutate(lower, upper, config.mutation_spread, n_children, rng)
-    # rows on the children's corners test the closed bounds
+    lowers, uppers = mutate(lower, upper, spread, n_children, rng)
     order = "F" if np.isfortran(X) else "C"
     X = np.vstack([X, lowers, uppers]).copy(order=order)
     y = np.concatenate([y, rng.normal(size=2 * n_children)])
+    return lowers, uppers, X, y, ridge
+
+
+def rounding_floor(rule, X, y, ridge):
+    """Absolute error that an in-sample MSE from the normal equations can
+    carry: eps times the condition number of the centred Gram matrix times
+    the mean square of the largest terms the residuals are differences of.
+    It is infinite where the Gram matrix is singular."""
+    mask = match_mask(rule.lower, rule.upper, X)
+    Xm, ym = X[mask], y[mask]
+    Xc = Xm - Xm.mean(axis=0)
+    gram = Xc.T @ Xc + ridge * np.eye(X.shape[1])
+    terms = np.abs(ym) + np.abs(Xm @ rule.coefficients) + abs(rule.intercept)
+    return np.finfo(float).eps * np.linalg.cond(gram) * np.mean(terms**2)
+
+
+@given(es_problems(), st.integers(1, 12), CHILD_SPREADS)
+@settings(max_examples=150, deadline=None)
+def test_generation_scores_match_fit_submodel(problem, n_children, spread):
+    # fitness within 1e-12 and MSE within 1e-10 of fit_submodel's, each
+    # plus what rounding in the normal equations allows
+    lowers, uppers, X, y, ridge = generation(problem, n_children, spread)
+    params = FitnessParams()
     matched = _match_matrix(lowers, uppers, X)
     fitnesses = _score_children(lowers, uppers, X, y, ridge, params)
-    assert len(fitnesses) == n_children
+    mses = _children_mse(lowers, uppers, X, y, ridge)
+    assert len(fitnesses) == mses.size == n_children
     for child in range(n_children):
         assert matched[child].tobytes() == match_mask(lowers[child], uppers[child], X).tobytes()
-        reference = fit_submodel(lowers[child], uppers[child], X, y, ridge, params).fitness
-        assert np.float64(fitnesses[child]).tobytes() == np.float64(reference).tobytes()
+        reference = fit_submodel(lowers[child], uppers[child], X, y, ridge, params)
+        floor = rounding_floor(reference, X, y, ridge)
+        assert mses[child] >= 0.0
+        assert abs(mses[child] - reference.in_sample_mse) <= 1e-10 * reference.in_sample_mse + floor
+        # the fitness moves at most (1 + alpha**2) * beta times as far as the MSE
+        fitness_floor = (1 + params.alpha**2) * params.beta * floor
+        assert abs(fitnesses[child] - reference.fitness) <= 1e-12 * reference.fitness + fitness_floor
+
+
+@given(es_problems(), st.integers(1, 12), CHILD_SPREADS, st.integers(1, 4000))
+@settings(max_examples=100, deadline=None)
+def test_chunked_generation_matches_one_chunk(problem, n_children, spread, chunk_bytes):
+    lowers, uppers, X, y, ridge = generation(problem, n_children, spread)
+    with mock.patch.object(discovery, "CHUNK_BYTES", 1 << 40):
+        whole = _children_mse(lowers, uppers, X, y, ridge)
+    with mock.patch.object(discovery, "CHUNK_BYTES", chunk_bytes):
+        chunked = _children_mse(lowers, uppers, X, y, ridge)
+    for child in range(n_children):
+        reference = fit_submodel(lowers[child], uppers[child], X, y, ridge)
+        floor = rounding_floor(reference, X, y, ridge)
+        assert abs(chunked[child] - whole[child]) <= 1e-10 * whole[child] + floor
+
+
+def test_generation_over_many_chunks_matches_one_chunk():
+    X, y = TestEvolveRule.toy_problem(n=2000)
+    rng = np.random.default_rng(8)
+    lowers, uppers = mutate(np.array([-0.2]), np.array([0.1]), 0.3, 20, rng)
+    whole = _children_mse(lowers, uppers, X, y, 0.01)
+    # one row per chunk
+    with mock.patch.object(discovery, "CHUNK_BYTES", 1):
+        chunked = _children_mse(lowers, uppers, X, y, 0.01)
+    assert chunked == pytest.approx(whole, rel=1e-12)
+    assert whole == pytest.approx([fit_submodel(lo, up, X, y, 0.01).in_sample_mse for lo, up in zip(lowers, uppers)], rel=1e-12)
 
 
 class TestGenerationChecks:
@@ -252,6 +340,17 @@ class TestGenerationChecks:
         monkeypatch.setattr(discovery, "select_seed_example", lambda errors, rng: int(np.argmin(X[:, 0])))
         with pytest.raises(NotFittedError):
             self.run_with_children(monkeypatch, [[-1.0]], [[1.0]], y)
+
+    def test_non_finite_target_matched_by_no_child_is_ignored(self):
+        # (0.5, 0.5) lies inside the box spanning both children, in neither child
+        X = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.3, 0.05], [0.5, 0.5]])
+        y = np.array([1.0, 2.0, 3.0, 0.5, np.nan])
+        lowers = np.array([[-0.1, -0.1], [-0.1, -0.1]])
+        uppers = np.array([[0.6, 0.1], [0.1, 0.6]])
+        params = FitnessParams()
+        fitnesses = _score_children(lowers, uppers, X, y, 0.01, params)
+        expected = [fit_submodel(lo, up, X, y, 0.01, params).fitness for lo, up in zip(lowers, uppers)]
+        assert fitnesses == pytest.approx(expected, rel=1e-12)
 
 
 class TestEvolveRule:
