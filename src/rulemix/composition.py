@@ -5,6 +5,12 @@ per learning cycle: its initial population is the previous best
 solution (zero-padded to the grown pool) plus randomly drawn genomes,
 trimmed back to the population size after the first evaluation, so the
 best fitness can never fall from one cycle to the next.
+
+Each generation is bred with array operations over a (children, pool
+size) genome matrix: the population is ranked once, and one draw per
+operator covers every child (all tournaments, all crossover decisions,
+all cut keys, all mutation masks). Children are then evaluated one by
+one through the evaluator's memo.
 """
 
 from __future__ import annotations
@@ -132,87 +138,76 @@ class PoolEvaluator:
         return individual
 
 
-def _rank_key(population):
-    """Sort key: fitness descending, then complexity, then position."""
-
-    def key(index: int):
-        individual = population[index]
-        return (-individual.fitness, individual.complexity, index)
-
-    return key
+def _rank_order(population: list[SolutionIndividual]) -> np.ndarray:
+    """Population indices best first: fitness descending, then
+    complexity ascending, then index ascending."""
+    fitness = np.array([individual.fitness for individual in population], dtype=float)
+    complexity = np.array([individual.complexity for individual in population], dtype=np.int64)
+    # lexsort sorts on the last key first and is stable, so exact ties keep index order
+    return np.lexsort((complexity, -fitness))
 
 
 def tournament_select(
-    population: list[SolutionIndividual],
+    order: np.ndarray,
+    n_children: int,
     tournament_size: int,
     rng: np.random.Generator,
-) -> tuple[SolutionIndividual, SolutionIndividual]:
-    """Two independent tournaments over the population, with replacement.
+) -> np.ndarray:
+    """Both parents of n_children children: 2 * n_children independent
+    tournaments over the population, with replacement.
 
-    Ties go to the lower complexity, then the lower population index.
+    `order` is the population ranked best first (`_rank_order`). Each
+    entrant is drawn as a place in that order, so the winner is the
+    entrant with the smallest place. Returns (n_children, 2) population
+    indices.
     """
-    if not population:
+    if len(order) == 0:
         raise ValueError("population is empty")
     if tournament_size < 1:
         raise ValueError(f"tournament_size must be at least 1, got {tournament_size}")
-    key = _rank_key(population)
-
-    def run_one() -> SolutionIndividual:
-        entrants = rng.integers(0, len(population), size=tournament_size)
-        return population[min((int(i) for i in entrants), key=key)]
-
-    return run_one(), run_one()
+    places = rng.integers(0, len(order), size=(n_children, 2, tournament_size))
+    return order[places.min(axis=2)]
 
 
 def n_point_crossover(
-    genome_a: np.ndarray,
-    genome_b: np.ndarray,
+    parents_a: np.ndarray,
+    parents_b: np.ndarray,
     n_points: int,
     probability: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One child from two parents by alternating segments at n cut points.
+    """One child per row of two (children, length) parent matrices, by
+    alternating segments at n cut points.
 
-    With probability (1 - probability) crossover is skipped and the
-    child is a copy of the first parent. Segments start from the first
-    parent; cut points are distinct positions strictly inside the genome.
+    Each child crosses with the given probability and is otherwise a
+    copy of its first parent. Segments start from the first parent; a
+    child's cut points are n distinct positions strictly inside the
+    genome, the n smallest of length - 1 uniform keys.
     """
-    genome_a = np.asarray(genome_a, dtype=bool)
-    genome_b = np.asarray(genome_b, dtype=bool)
-    length = genome_a.shape[0]
-    if genome_b.shape != genome_a.shape or genome_a.ndim != 1:
-        raise ValueError("parent genomes must be 1-d and of equal length")
+    parents_a = np.asarray(parents_a, dtype=bool)
+    parents_b = np.asarray(parents_b, dtype=bool)
+    if parents_b.shape != parents_a.shape or parents_a.ndim != 2:
+        raise ValueError("parent genomes must be 2-d (children, length) and of equal shape")
+    n_children, length = parents_a.shape
     if not 1 <= n_points < length:
         raise ValueError(f"n_points must lie in [1, {length - 1}], got {n_points}")
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {probability}")
-    if rng.random() >= probability:
-        return genome_a.copy()
-    cuts = np.sort(rng.choice(np.arange(1, length), size=n_points, replace=False))
-    return splice(genome_a, genome_b, cuts)
+    cross = rng.random(n_children) < probability
+    cuts = np.argpartition(rng.random((n_children, length - 1)), n_points - 1, axis=1)[:, :n_points] + 1
+    at_cut = np.zeros((n_children, length), dtype=bool)
+    at_cut[np.arange(n_children)[:, None], cuts] = True
+    # a position lies in a second-parent segment after an odd number of cuts
+    from_b = np.logical_xor.accumulate(at_cut, axis=1) & cross[:, None]
+    return np.where(from_b, parents_b, parents_a)
 
 
-def splice(genome_a: np.ndarray, genome_b: np.ndarray, cuts) -> np.ndarray:
-    """Alternate segments of the parents at the given cut positions,
-    starting with the first parent."""
-    child = np.asarray(genome_a, dtype=bool).copy()
-    genome_b = np.asarray(genome_b, dtype=bool)
-    take_from_b = False
-    previous = 0
-    for cut in [*[int(c) for c in cuts], child.shape[0]]:
-        if take_from_b:
-            child[previous:cut] = genome_b[previous:cut]
-        take_from_b = not take_from_b
-        previous = cut
-    return child
-
-
-def bitflip_mutate(genome: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit independently with the given probability."""
-    genome = np.asarray(genome, dtype=bool)
+def bitflip_mutate(genomes: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Flip each bit of each genome independently with the given probability."""
+    genomes = np.asarray(genomes, dtype=bool)
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
-    return genome ^ (rng.random(genome.shape[0]) < rate)
+    return genomes ^ (rng.random(genomes.shape) < rate)
 
 
 def compose_solution(
@@ -244,33 +239,30 @@ def compose_solution(
         if previous_genome.shape[0] > pool_size:
             raise ValueError("previous elitist genome is longer than the pool")
         base[: previous_genome.shape[0]] = previous_genome
-    genomes = [base] + [rng.random(pool_size) < config.init_density for _ in range(config.population_size)]
+    genomes = [base, *(rng.random((config.population_size, pool_size)) < config.init_density)]
     evaluated = [evaluator.evaluate(genome, params) for genome in genomes]
-    order = sorted(range(len(evaluated)), key=_rank_key(evaluated))
-    population = [evaluated[i] for i in order[: config.population_size]]
+    population = [evaluated[i] for i in _rank_order(evaluated)[: config.population_size]]
 
     if generation_log is not None:
         generation_log.append(population[0].fitness)
 
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / pool_size
     effective_points = min(config.crossover_points, pool_size - 1)
+    n_children = config.population_size - config.n_elitists
     for _ in range(config.generations):
-        order = sorted(range(len(population)), key=_rank_key(population))
-        elites = [population[i] for i in order[: config.n_elitists]]
-        children = []
-        for _ in range(config.population_size - config.n_elitists):
-            parent_a, parent_b = tournament_select(population, config.tournament_size, rng)
-            if effective_points >= 1:
-                child_genome = n_point_crossover(
-                    parent_a.genome, parent_b.genome, effective_points, config.crossover_probability, rng
-                )
-            else:
-                child_genome = parent_a.genome.copy()
-            child_genome = bitflip_mutate(child_genome, mutation_rate, rng)
-            children.append(evaluator.evaluate(child_genome, params))
-        population = children + elites
+        order = _rank_order(population)
+        genomes = np.stack([individual.genome for individual in population])
+        parents = tournament_select(order, n_children, config.tournament_size, rng)
+        children = genomes[parents[:, 0]]
+        if effective_points >= 1:
+            children = n_point_crossover(
+                children, genomes[parents[:, 1]], effective_points, config.crossover_probability, rng
+            )
+        children = bitflip_mutate(children, mutation_rate, rng)
+        population = [evaluator.evaluate(child, params) for child in children] + [
+            population[i] for i in order[: config.n_elitists]
+        ]
         if generation_log is not None:
-            best = population[min(range(len(population)), key=_rank_key(population))]
-            generation_log.append(best.fitness)
+            generation_log.append(population[_rank_order(population)[0]].fitness)
 
-    return population[min(range(len(population)), key=_rank_key(population))]
+    return population[_rank_order(population)[0]]

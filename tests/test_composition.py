@@ -22,6 +22,7 @@ from rulemix import (
     solution_objectives,
     tournament_select,
 )
+from rulemix.composition import _rank_order
 from rulemix.errors import ConfigError
 
 
@@ -209,6 +210,47 @@ def test_evaluator_predictions_equal_mix_predict_bitwise(case):
     assert PoolEvaluator(pool, X, y).predictions(genome).tobytes() == mix_predict(pool.selected(genome), X).tobytes()
 
 
+def reference_order(population):
+    """The ranking as a Python sort key: fitness descending, then
+    complexity, then position."""
+    return sorted(
+        range(len(population)),
+        key=lambda i: (-population[i].fitness, population[i].complexity, i),
+    )
+
+
+class TestRankOrder:
+    def test_ties_on_fitness_and_complexity(self):
+        population = [
+            individual([True, True, False], fitness=0.5),
+            individual([True, True, True], fitness=0.9),
+            individual([True, False, False], fitness=0.9),
+            individual([False, True, False], fitness=0.9),
+            individual([True, True, False], fitness=0.5),
+        ]
+        assert _rank_order(population).tolist() == [2, 3, 1, 0, 4] == reference_order(population)
+
+    def test_empty_population(self):
+        assert _rank_order([]).tolist() == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), st.integers(0, 3)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_orders_like_the_reference_key(self, entries):
+        # few distinct values, so equal fitness and exact ties are common
+        population = [individual([True], fitness, complexity) for fitness, complexity in entries]
+        assert _rank_order(population).tolist() == reference_order(population)
+
+
+def winners(population, n_children, tournament_size, rng):
+    return tournament_select(_rank_order(population), n_children, tournament_size, rng)
+
+
 class TestTournament:
     def test_ties_break_on_complexity(self):
         population = [
@@ -216,131 +258,195 @@ class TestTournament:
             individual([True, False, False], fitness=0.9),
             individual([True, True, True], fitness=0.9),
         ]
-        rng = np.random.default_rng(10)
         # a size-50 tournament all but surely samples every index, so the
         # fitness tie between 1 and 2 must fall to 1: lower complexity
-        winners = [tournament_select(population, 50, rng)[0] for _ in range(300)]
-        assert all(w is population[1] for w in winners)
+        assert (winners(population, 300, 50, np.random.default_rng(10)) == 1).all()
 
     def test_index_breaks_exact_ties(self):
         population = [
             individual([True, False], fitness=0.7),
             individual([False, True], fitness=0.7),
         ]
-        rng = np.random.default_rng(11)
-        winners = [tournament_select(population, 50, rng)[0] for _ in range(100)]
         # same fitness and complexity: the earlier individual wins every
         # tournament that samples it, which a size-50 draw all but surely does
-        assert all(w is population[0] for w in winners)
+        assert (winners(population, 100, 50, np.random.default_rng(11)) == 0).all()
 
     def test_sampling_with_replacement_lets_weaker_win(self):
         population = [
             individual([True, False], fitness=0.99),
             individual([False, True], fitness=0.01),
         ]
-        rng = np.random.default_rng(12)
-        winners = [tournament_select(population, 2, rng)[0] for _ in range(2000)]
-        weak_wins = sum(w is population[1] for w in winners)
-        # the weak one wins only when sampled twice: probability 1/4
-        assert weak_wins / 2000 == pytest.approx(0.25, abs=0.03)
+        weak = winners(population, 2000, 2, np.random.default_rng(12)) == 1
+        # the weak one wins only when sampled twice: probability 1/4 in
+        # each tournament, and 1/16 for both parents of a child
+        assert weak.mean(axis=0) == pytest.approx([0.25, 0.25], abs=0.03)
+        assert weak.all(axis=1).mean() == pytest.approx(1 / 16, abs=0.015)
 
     def test_returns_two_independent_winners(self):
         population = [individual([True], fitness=0.5)]
-        a, b = tournament_select(population, 3, np.random.default_rng(0))
-        assert a is population[0] and b is population[0]
+        parents = winners(population, 4, 3, np.random.default_rng(0))
+        assert parents.shape == (4, 2)
+        assert (parents == 0).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            tournament_select([], 2, np.random.default_rng(0))
+            tournament_select(_rank_order([]), 1, 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            tournament_select([individual([True], 0.5)], 0, np.random.default_rng(0))
+            winners([individual([True], 0.5)], 1, 0, np.random.default_rng(0))
+
+
+class FixedRng:
+    """Stands in for the generator in n_point_crossover: hands out the
+    given arrays in order and checks that each draw has their shape."""
+
+    def __init__(self, *draws):
+        self.draws = [np.asarray(draw, dtype=float) for draw in draws]
+
+    def random(self, size):
+        draw = self.draws.pop(0)
+        assert draw.shape == np.empty(size).shape
+        return draw
+
+
+def cut_keys(length, *cuts_per_child):
+    """Cut-key draws whose n smallest keys lie at the given cuts."""
+    keys = np.ones((len(cuts_per_child), length - 1))
+    for child, cuts in enumerate(cuts_per_child):
+        keys[child, np.asarray(cuts) - 1] = np.linspace(0.0, 0.5, len(cuts))
+    return keys
+
+
+def segment_switches(child, a, b):
+    """How often the source of a child switches between its parents,
+    starting from a; None if some bit comes from neither parent."""
+    if not np.all((child == a) | (child == b)):
+        return None
+    differ = a != b
+    from_b = np.concatenate([[False], child[differ] == b[differ]])
+    return int(np.count_nonzero(from_b[1:] != from_b[:-1]))
 
 
 class TestCrossover:
     def test_hand_worked_single_cut(self):
-        a = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool)
-        b = np.array([0, 0, 0, 0, 1, 1, 1, 1], dtype=bool)
-
-        class FixedRng:
-            def random(self):
-                return 0.0  # always cross
-
-            def choice(self, values, size, replace):
-                return np.array([4])
-
-        child = n_point_crossover(a, b, 1, 1.0, FixedRng())
-        assert child.tolist() == [True] * 8
+        a = np.array([[1, 1, 1, 1, 0, 0, 0, 0]], dtype=bool)
+        b = np.array([[0, 0, 0, 0, 1, 1, 1, 1]], dtype=bool)
+        rng = FixedRng([0.0], cut_keys(8, [4]))  # cross, cut at 4
+        child = n_point_crossover(a, b, 1, 1.0, rng)
+        assert child.tolist() == [[True] * 8]
+        assert not rng.draws
 
     def test_three_cut_splice_alternates_segments(self):
-        a = np.zeros(10, dtype=bool)
-        b = np.ones(10, dtype=bool)
-
-        class FixedRng:
-            def random(self):
-                return 0.0
-
-            def choice(self, values, size, replace):
-                return np.array([2, 5, 7])
-
-        child = n_point_crossover(a, b, 3, 1.0, FixedRng())
-        # segments: a[0:2], b[2:5], a[5:7], b[7:10]
-        assert child.tolist() == [False, False, True, True, True, False, False, True, True, True]
+        a = np.zeros((2, 10), dtype=bool)
+        b = np.ones((2, 10), dtype=bool)
+        rng = FixedRng([0.0, 0.0], cut_keys(10, [2, 5, 7], [7, 2, 5]))
+        children = n_point_crossover(a, b, 3, 1.0, rng)
+        # segments: a[0:2], b[2:5], a[5:7], b[7:10], whatever the key order
+        expected = [False, False, True, True, True, False, False, True, True, True]
+        assert children.tolist() == [expected, expected]
 
     def test_skip_returns_copy_of_first_parent(self):
-        a = np.array([True, False, True, False])
-        b = np.array([False, True, False, True])
-
-        class NeverRng:
-            def random(self):
-                return 0.999
-
-        child = n_point_crossover(a, b, 1, 0.5, NeverRng())
-        assert np.array_equal(child, a)
-        assert child is not a
+        a = np.array([[True, False, True, False], [False, False, True, True]])
+        b = np.array([[False, True, False, True], [True, True, False, False]])
+        # the first child skips crossover (0.999 >= 0.5), the second crosses at 2
+        rng = FixedRng([0.999, 0.0], cut_keys(4, [2], [2]))
+        children = n_point_crossover(a, b, 1, 0.5, rng)
+        assert np.array_equal(children[0], a[0])
+        assert children[1].tolist() == [False, False, False, False]
+        assert not np.shares_memory(children, a)
 
     def test_child_bits_come_from_a_parent(self, rng):
-        a = rng.random(20) < 0.5
-        b = rng.random(20) < 0.5
-        for _ in range(50):
-            child = n_point_crossover(a, b, 3, 0.9, rng)
-            assert np.all((child == a) | (child == b))
+        a = rng.random((50, 20)) < 0.5
+        b = rng.random((50, 20)) < 0.5
+        children = n_point_crossover(a, b, 3, 0.9, rng)
+        for child, parent_a, parent_b in zip(children, a, b):
+            assert segment_switches(child, parent_a, parent_b) <= 3
 
     def test_cut_positions_are_interior(self, rng):
         # with n_points = length - 1 every interior position is cut, so
-        # the child must alternate single bits starting from parent a
-        a = np.zeros(5, dtype=bool)
-        b = np.ones(5, dtype=bool)
-        child = n_point_crossover(a, b, 4, 1.0, rng)
-        assert child.tolist() == [False, True, False, True, False]
+        # each child must alternate single bits starting from parent a
+        a = np.zeros((6, 5), dtype=bool)
+        b = np.ones((6, 5), dtype=bool)
+        children = n_point_crossover(a, b, 4, 1.0, rng)
+        assert children.tolist() == [[False, True, False, True, False]] * 6
+
+    def test_cuts_are_distinct_and_uniform(self):
+        # complementary parents make every cut a visible switch
+        n_children, length, n_points = 20_000, 9, 3
+        a = np.zeros((n_children, length), dtype=bool)
+        children = n_point_crossover(a, ~a, n_points, 1.0, np.random.default_rng(60))
+        switched = children[:, 1:] != children[:, :-1]
+        assert (switched.sum(axis=1) == n_points).all()
+        # each interior position is one of k cuts out of length - 1: sd about 0.0033
+        assert switched.mean(axis=0) == pytest.approx([n_points / (length - 1)] * (length - 1), abs=0.015)
+
+    def test_crossover_decision_frequency(self):
+        a = np.zeros((20_000, 4), dtype=bool)
+        children = n_point_crossover(a, ~a, 1, 0.3, np.random.default_rng(61))
+        assert children.any(axis=1).mean() == pytest.approx(0.3, abs=0.015)
 
     def test_validation(self, rng):
-        a = np.zeros(4, dtype=bool)
-        b = np.ones(4, dtype=bool)
+        a = np.zeros((2, 4), dtype=bool)
+        b = np.ones((2, 4), dtype=bool)
         with pytest.raises(ValueError):
             n_point_crossover(a, b, 0, 0.9, rng)
         with pytest.raises(ValueError):
             n_point_crossover(a, b, 4, 0.9, rng)
         with pytest.raises(ValueError):
-            n_point_crossover(a, np.ones(5, dtype=bool), 1, 0.9, rng)
+            n_point_crossover(a, np.ones((2, 5), dtype=bool), 1, 0.9, rng)
         with pytest.raises(ValueError):
             n_point_crossover(a, b, 1, 1.5, rng)
+        with pytest.raises(ValueError):
+            n_point_crossover(a[0], b[0], 1, 0.9, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    population=st.integers(1, 8).flatmap(
+        lambda length: st.lists(arrays(np.bool_, length), min_size=1, max_size=10)
+    ),
+    n_points=st.integers(1, 7),
+    tournament_size=st.integers(1, 4),
+    probability=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_children_without_mutation_splice_their_two_winners(population, n_points, tournament_size, probability, seed):
+    # the breeding steps of one generation, as compose_solution runs them
+    genomes = np.stack(population)
+    length = genomes.shape[1]
+    points = min(n_points, length - 1)
+    rng = np.random.default_rng(seed)
+    members = [individual(genome, fitness=float(i % 3)) for i, genome in enumerate(genomes)]
+    parents = tournament_select(_rank_order(members), 12, tournament_size, rng)
+    children = genomes[parents[:, 0]]
+    if points >= 1:
+        children = n_point_crossover(children, genomes[parents[:, 1]], points, probability, rng)
+    children = bitflip_mutate(children, 0.0, rng)
+    for child, (i, j) in zip(children, parents):
+        switches = segment_switches(child, genomes[i], genomes[j])
+        assert switches is not None and switches <= points
+        if probability == 0.0 or points == 0:
+            assert np.array_equal(child, genomes[i])
 
 
 class TestBitflip:
     def test_flip_frequency(self):
         rng = np.random.default_rng(14)
-        genome = np.zeros(1000, dtype=bool)
-        flips = [int(bitflip_mutate(genome, 0.1, rng).sum()) for _ in range(200)]
-        assert float(np.mean(flips)) / 1000 == pytest.approx(0.1, abs=0.005)
+        flips = bitflip_mutate(np.zeros((200, 1000), dtype=bool), 0.1, rng)
+        assert flips.shape == (200, 1000)
+        assert flips.mean() == pytest.approx(0.1, abs=0.005)
+        assert flips.mean(axis=1) == pytest.approx([0.1] * 200, abs=0.05)
+        assert len({row.tobytes() for row in flips}) == 200  # one mask per genome
 
     def test_rate_zero_and_one(self, rng):
-        genome = np.array([True, False, True])
-        assert np.array_equal(bitflip_mutate(genome, 0.0, rng), genome)
-        assert np.array_equal(bitflip_mutate(genome, 1.0, rng), ~genome)
+        genomes = np.array([[True, False, True], [False, False, True]])
+        assert np.array_equal(bitflip_mutate(genomes, 0.0, rng), genomes)
+        assert np.array_equal(bitflip_mutate(genomes, 1.0, rng), ~genomes)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):
-            bitflip_mutate(np.zeros(3, dtype=bool), 1.5, rng)
+            bitflip_mutate(np.zeros((2, 3), dtype=bool), 1.5, rng)
+        with pytest.raises(ValueError):
+            bitflip_mutate(np.zeros((2, 3), dtype=bool), -0.1, rng)
 
 
 class TestComposeSolution:
