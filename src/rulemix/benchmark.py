@@ -46,6 +46,10 @@ class RunRecord:
     """Wall-clock training seconds; excluded from machine output."""
 
 
+# The fields of a RunRecord in report.json and records.csv; elapsed stays out.
+RECORD_FIELDS = ("dataset", "seed_index", "split_index", "mse_sigma", "mse_original", "baseline_mse_sigma", "complexity")
+
+
 @dataclass
 class BenchmarkReport:
     master_seed: int
@@ -197,14 +201,15 @@ def _summary_for(records: list[RunRecord]) -> dict:
     }
 
 
+def _by_dataset(report: BenchmarkReport) -> dict[str, list[RunRecord]]:
+    """The records of each dataset that has any, in dataset order."""
+    groups = {name: [r for r in report.records if r.dataset == name] for name in report.dataset_names}
+    return {name: records for name, records in groups.items() if records}
+
+
 def summarize(report: BenchmarkReport) -> dict[str, dict]:
     """Per-dataset aggregates of errors and complexities."""
-    summaries = {}
-    for name in report.dataset_names:
-        records = [r for r in report.records if r.dataset == name]
-        if records:
-            summaries[name] = _summary_for(records)
-    return summaries
+    return {name: _summary_for(records) for name, records in _by_dataset(report).items()}
 
 
 def _paired_test(entry: dict, errors_a: list[float], errors_b: list[float]) -> dict:
@@ -223,10 +228,7 @@ def baseline_tests(report: BenchmarkReport) -> list[dict]:
     """Per-dataset paired test of model errors against the train-mean
     baseline on the same runs."""
     results = []
-    for name in report.dataset_names:
-        records = [r for r in report.records if r.dataset == name]
-        if not records:
-            continue
+    for name, records in _by_dataset(report).items():
         entry = {"dataset": name, "baseline": "train_mean", "n": len(records)}
         results.append(_paired_test(entry, [r.mse_sigma for r in records], [r.baseline_mse_sigma for r in records]))
     return results
@@ -264,18 +266,7 @@ def report_document(report: BenchmarkReport) -> dict:
         "test_fraction": report.test_fraction,
         "config": config_to_dict(report.config),
         "datasets": list(report.dataset_names),
-        "records": [
-            {
-                "dataset": r.dataset,
-                "seed_index": r.seed_index,
-                "split_index": r.split_index,
-                "mse_sigma": r.mse_sigma,
-                "mse_original": r.mse_original,
-                "baseline_mse_sigma": r.baseline_mse_sigma,
-                "complexity": r.complexity,
-            }
-            for r in report.records
-        ],
+        "records": [{name: getattr(r, name) for name in RECORD_FIELDS} for r in report.records],
         "summaries": summarize(report),
         "baseline_tests": baseline_tests(report),
         "failures": dict(sorted(report.failures.items())),
@@ -289,21 +280,10 @@ def write_report_json(report: BenchmarkReport, path) -> None:
 def write_records_csv(report: BenchmarkReport, path) -> None:
     with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["dataset", "seed_index", "split_index", "mse_sigma", "mse_original", "baseline_mse_sigma", "complexity"]
-        )
+        writer.writerow(RECORD_FIELDS)
         for r in report.records:
-            writer.writerow(
-                [
-                    r.dataset,
-                    r.seed_index,
-                    r.split_index,
-                    repr(r.mse_sigma),
-                    repr(r.mse_original),
-                    repr(r.baseline_mse_sigma),
-                    r.complexity,
-                ]
-            )
+            # csv writes str(x), which is repr(x) for a float
+            writer.writerow([getattr(r, name) for name in RECORD_FIELDS])
 
 
 def format_summary_text(report: BenchmarkReport) -> str:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError
 from .fitness import FitnessParams, combine, solution_objectives
 # match_mask stays a module attribute here: perfbench's tracer patches it
-from .rules import Pool, match_mask, mix_ratio, mixing_terms  # noqa: F401
+from .rules import Pool, _mix_terms, _readonly, match_mask, mix_ratio  # noqa: F401
 
 
 # eq=False: the genome array would make the generated __eq__ raise
@@ -69,49 +69,35 @@ class GAConfig:
             raise ConfigError(f"init_density must lie in [0, 1], got {self.init_density}")
 
 
-def _frozen_genome(genome) -> np.ndarray:
-    out = np.array(genome, dtype=bool)
-    out.setflags(write=False)
-    return out
-
-
 class PoolEvaluator:
-    """Every rule's mixing terms precomputed on one training set, so a
-    genome evaluation is two row sums.
+    """Every rule's mixing terms on one training set, from the mixing
+    kernel of rules.py, so that a genome evaluation is one row sum.
 
-    Rule fitnesses do not depend on each other, so a fitted rule's
-    match set, output and mixing weight never change. Each rule is
-    stored as two dense rows over the training set: its weighted output
-    and its weight on the rows it matches, 0.0 on the rows it does not.
-    Summing the selected rows in pool-index order from 0.0 performs the
-    same float additions as mixing the rules directly (adding 0.0 to a
-    sum leaves it unchanged), so an evaluation here agrees with
-    mix_predict bit for bit.
+    Rule fitnesses are independent, so a fitted rule's match set, output
+    and weight never change. terms[i] holds rule i's weighted outputs and
+    weight at every training row, +0.0 where it does not match; summing
+    the selected rules' terms in pool order from 0.0 makes mix_predict's
+    float additions, so evaluations agree with it bit for bit.
 
-    Evaluations are cached on (params, genome bytes) for the life of the
-    evaluator: a repeated genome returns the same SolutionIndividual.
+    Evaluations are cached on the genome's bytes, one cache per params,
+    for the life of the evaluator: a repeated genome returns the same
+    SolutionIndividual.
     """
 
     def __init__(self, pool: Pool, X: np.ndarray, y: np.ndarray):
         self.pool_size = len(pool)
         self.y = y
         X = np.ascontiguousarray(X, dtype=float)
-        X_columns = np.asfortranarray(X)
-        # C order: reducing over axis 0 adds whole rows one after another
-        self.weighted_outputs = np.zeros((self.pool_size, X.shape[0]))
-        self.weights = np.zeros((self.pool_size, X.shape[0]))
-        for index, rule in enumerate(pool):
-            mask, weight, weighted_outputs = mixing_terms(rule, X, X_columns)
-            self.weighted_outputs[index, mask] = weighted_outputs[mask]
-            self.weights[index, mask] = weight
-        self._cache: dict[tuple[FitnessParams, bytes], SolutionIndividual] = {}
+        # C order: reducing over axis 0 adds whole rules one after another
+        self.terms = np.empty((self.pool_size, 2, X.shape[0]))
+        for rows, terms in _mix_terms(pool, X):
+            self.terms[:, :, rows] = terms
+        self._params: FitnessParams | None = None
+        self._memos: dict[FitnessParams, dict[bytes, SolutionIndividual]] = {}
 
     def predictions(self, genome: np.ndarray) -> np.ndarray:
-        selected = np.asarray(genome, dtype=bool)
-        return mix_ratio(
-            np.add.reduce(self.weighted_outputs[selected], axis=0, initial=0.0),
-            np.add.reduce(self.weights[selected], axis=0, initial=0.0),
-        )
+        sums = np.add.reduce(self.terms[np.asarray(genome, dtype=bool)], axis=0, initial=0.0)
+        return mix_ratio(sums[0], sums[1])
 
     def evaluate(self, genome: np.ndarray, params: FitnessParams) -> SolutionIndividual:
         """Score one rule subset: the error objective squashes its
@@ -120,21 +106,25 @@ class PoolEvaluator:
         genome = np.asarray(genome, dtype=bool)
         if genome.shape != (self.pool_size,):
             raise ValueError(f"genome must have one bit per pool rule ({self.pool_size}), got shape {genome.shape}")
-        key = (params, genome.tobytes())
-        cached = self._cache.get(key)
+        # params changes seldom, so its hash is not taken on every call
+        if params is not self._params:
+            self._params, self._memo = params, self._memos.setdefault(params, {})
+        key = genome.tobytes()
+        cached = self._memo.get(key)
         if cached is not None:
             return cached
         residuals = self.y - self.predictions(genome)
-        mse = float(np.mean(residuals**2))
+        # np.mean's own arithmetic without its per-call wrapping
+        mse = float(np.add.reduce(residuals * residuals) / residuals.size)
         complexity = int(np.count_nonzero(genome))
         o1, o2 = solution_objectives(mse, complexity, self.pool_size, params.beta)
         individual = SolutionIndividual(
-            genome=_frozen_genome(genome),
+            genome=_readonly(genome, bool),
             fitness=combine(o1, o2, params.alpha),
             complexity=complexity,
             in_sample_mse=mse,
         )
-        self._cache[key] = individual
+        self._memo[key] = individual
         return individual
 
 
@@ -229,9 +219,7 @@ def compose_solution(
     pool_size = len(pool)
     if pool_size == 0:
         raise ValueError("pool is empty")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    evaluator = PoolEvaluator(pool, X, y)
+    evaluator = PoolEvaluator(pool, X, np.asarray(y, dtype=float))
 
     base = np.zeros(pool_size, dtype=bool)
     if previous_elitist is not None:

@@ -31,7 +31,7 @@ def describe_rule(
     feature_names: list[str] | None = None,
 ) -> str:
     """Multi-line text for one rule."""
-    labels = _feature_labels(rule.dim, feature_names)
+    labels = _feature_labels(len(rule.lower), feature_names)
     lower_original = transform.inverse_features(rule.lower)
     upper_original = transform.inverse_features(rule.upper)
 

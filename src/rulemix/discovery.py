@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, EmptyMatchError
 from .fitness import FitnessParams
 from .rng import spawn_rng
-from .rules import Rule, _check_bounds, _fitness, _match_matrix, _solve_ridge, _volume, fit_submodel
+from .rules import CHUNK_BYTES, Rule, _check_bounds, _fitness, _match_matrix, _solve_ridge, _volume, fit_submodel
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,6 @@ def mutate(
     """
     steps = np.abs(rng.normal(0.0, mutation_spread, size=(n_children, 2, lower.shape[0])))
     return np.maximum(lower - steps[:, 0], -1.0), np.minimum(upper + steps[:, 1], 1.0)
-
-
-# Union rows are scored this many bytes of floats per child or moment
-# column at a time. Larger temporaries were mapped fresh and page-faulted
-# on every generation: at 1 MB a 4-d, 5000-row fit took about 150 page
-# faults per generation, at 32 kB under one.
-CHUNK_BYTES = 1 << 15
 
 
 def _score_children(

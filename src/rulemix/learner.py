@@ -10,16 +10,17 @@ is unchanged, and its parsimony objective rises with the pool size.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from .composition import GAConfig, SolutionIndividual, compose_solution
 from .data import TransformState, fit_transform
 from .discovery import ESConfig, discover_rules
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .fitness import FitnessParams
 from .rng import spawn_rng
-from .rules import Pool, Rule, mix_predict
+from .rules import Pool, mix_predict
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,10 @@ class TrainedModel:
     fitness_history: list[float] = field(default_factory=list)
     """Best solution fitness after each cycle (not persisted)."""
 
-    @property
-    def selected_rules(self) -> list[Rule]:
-        return self.pool.selected(self.elitist.genome)
+    @cached_property
+    def selected_rules(self) -> Pool:
+        """The elitist's rules, stacked once for every later predict."""
+        return self.pool[self.elitist.genome]
 
     @property
     def complexity(self) -> int:
@@ -119,15 +121,12 @@ class TrainedModel:
 
     def predict(self, X) -> np.ndarray:
         """Predict in original target units for raw (unscaled) inputs."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise DataError(f"X must be 2-d, got shape {X.shape}")
         X_scaled = self.transform.transform_features(X)
         return self.transform.inverse_target(mix_predict(self.selected_rules, X_scaled))
 
     def predict_scaled(self, X_scaled) -> np.ndarray:
         """Predict in standardized target units for already-scaled inputs."""
-        return mix_predict(self.selected_rules, np.asarray(X_scaled, dtype=float))
+        return mix_predict(self.selected_rules, X_scaled)
 
 
 def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
@@ -145,11 +144,8 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
     elitist: SolutionIndividual | None = None
     history: list[float] = []
     for cycle in range(config.n_iter):
-        if elitist is None:
-            errors = y_scaled**2
-        else:
-            predictions = mix_predict(pool.selected(elitist.genome), X_scaled)
-            errors = (y_scaled - predictions) ** 2
+        predictions = 0.0 if elitist is None else mix_predict(pool[elitist.genome], X_scaled)
+        errors = (y_scaled - predictions) ** 2
         pool.extend(
             discover_rules(
                 X_columns,

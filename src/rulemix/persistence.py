@@ -20,22 +20,19 @@ from .composition import SolutionIndividual
 from .data import TransformState, _atomic_open
 from .errors import ConfigError, ModelFormatError, ModelVersionError
 from .learner import LearnerConfig, TrainedModel, config_from_dict, config_to_dict
-from .rules import Pool, Rule, _volume
+from .rules import COLUMNS, Pool, Rule, _readonly, _volume
 
 FORMAT_VERSION = 1
 
 
-def _rule_doc(rule: Rule) -> dict:
-    return {
-        "lower": [float(v) for v in rule.lower],
-        "upper": [float(v) for v in rule.upper],
-        "coefficients": [float(v) for v in rule.coefficients],
-        "intercept": float(rule.intercept),
-        "mse": float(rule.in_sample_mse),
-        "experience": int(rule.experience),
-        "volume": float(rule.volume),
-        "fitness": float(rule.fitness),
-    }
+# A rule's keys in a model file, in the order of rules.COLUMNS
+RULE_KEYS = ("lower", "upper", "coefficients", "intercept", "mse", "experience", "volume", "fitness")
+
+
+def _pool_doc(pool: Pool) -> list[dict]:
+    columns = [getattr(pool, name).tolist() for name in COLUMNS]
+    columns[5] = [int(experience) for experience in columns[5]]
+    return [dict(zip(RULE_KEYS, row)) for row in zip(*columns)]
 
 
 def model_document(model: TrainedModel) -> dict:
@@ -48,7 +45,7 @@ def model_document(model: TrainedModel) -> dict:
             "target_mean": float(model.transform.target_mean),
             "target_std": float(model.transform.target_std),
         },
-        "pool": [_rule_doc(rule) for rule in model.pool],
+        "pool": _pool_doc(model.pool),
         "elitist": {
             "genome_bits": "".join("1" if bit else "0" for bit in model.elitist.genome),
             "fitness": float(model.elitist.fitness),
@@ -88,8 +85,8 @@ def _require(doc: dict, key: str, kind, where: str):
             raise ModelFormatError(f"{where + '.' if where else ''}{key} must be a finite number")
         return float(value)
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ModelFormatError(f"{where + '.' if where else ''}{key} must be an integer")
+        if isinstance(value, bool) or not isinstance(value, int) or not _finite((value,)):
+            raise ModelFormatError(f"{where + '.' if where else ''}{key} must be an integer in the float range")
         return value
     if not isinstance(value, kind):
         raise ModelFormatError(f"{where + '.' if where else ''}{key} must be a {kind.__name__}")
@@ -104,9 +101,37 @@ def _float_array(doc: dict, key: str, where: str, length: int | None = None) -> 
         raise ModelFormatError(f"{where}.{key} must have length {length}, got {len(raw)}")
     if not _finite(raw):
         raise ModelFormatError(f"{where}.{key} must contain only finite numbers")
-    out = np.array(raw, dtype=float)
-    out.setflags(write=False)
-    return out
+    return _readonly(raw)
+
+
+def _first_rule(bad: np.ndarray, problem: str) -> None:
+    """Reject the pool if any rule is flagged in bad, naming the first."""
+    if bad.any():
+        raise ModelFormatError(f"pool[{int(np.argmax(bad))}]{problem}")
+
+
+def _pool_from_doc(pool_doc: list, dim: int) -> Pool:
+    """The stacked pool of a model document. Types, lengths and
+    finiteness are checked rule by rule as they are read, the values'
+    ranges on the stacked arrays; an error names the first rule at fault."""
+    if not pool_doc:
+        raise ModelFormatError("pool must contain at least one rule")
+    rules = []
+    kinds = (float, float, int, float, float)
+    for index, rule_doc in enumerate(pool_doc):
+        where = f"pool[{index}]"
+        if not isinstance(rule_doc, dict):
+            raise ModelFormatError(f"{where} must be an object")
+        arrays = [_float_array(rule_doc, key, where, length=dim) for key in RULE_KEYS[:3]]
+        rules.append(Rule(*arrays, *(_require(rule_doc, key, kind, where) for key, kind in zip(RULE_KEYS[3:], kinds))))
+    pool = Pool(rules)
+    lowers, uppers = pool.lowers, pool.uppers
+    _first_rule(((uppers < lowers) | (lowers < -1.0) | (uppers > 1.0)).any(axis=1), " bounds must satisfy -1 <= lower <= upper <= 1")
+    _first_rule(pool.experience < 1, ".experience must be at least 1")
+    _first_rule(pool.in_sample_mse < 0, ".mse must be non-negative")
+    mismatch = pool.volume != _volume(lowers, uppers)
+    _first_rule(mismatch, f".volume {float(pool.volume[np.argmax(mismatch)])!r} does not match its bounds")
+    return pool
 
 
 def document_to_model(doc) -> TrainedModel:
@@ -135,49 +160,13 @@ def document_to_model(doc) -> TrainedModel:
         target_mean=_require(transform_doc, "target_mean", float, "transform"),
         target_std=target_std,
     )
-    dim = transform.dim
-
-    pool_doc = _require(doc, "pool", list, "")
-    if not pool_doc:
-        raise ModelFormatError("pool must contain at least one rule")
-    rules = []
-    for index, rule_doc in enumerate(pool_doc):
-        where = f"pool[{index}]"
-        if not isinstance(rule_doc, dict):
-            raise ModelFormatError(f"{where} must be an object")
-        lower = _float_array(rule_doc, "lower", where, length=dim)
-        upper = _float_array(rule_doc, "upper", where, length=dim)
-        if ((upper < lower) | (lower < -1.0) | (upper > 1.0)).any():
-            raise ModelFormatError(f"{where} bounds must satisfy -1 <= lower <= upper <= 1")
-        experience = _require(rule_doc, "experience", int, where)
-        if experience < 1:
-            raise ModelFormatError(f"{where}.experience must be at least 1")
-        mse = _require(rule_doc, "mse", float, where)
-        if not mse >= 0:
-            raise ModelFormatError(f"{where}.mse must be non-negative")
-        volume = _require(rule_doc, "volume", float, where)
-        if volume != _volume(lower, upper):
-            raise ModelFormatError(f"{where}.volume {volume!r} does not match its bounds")
-        rules.append(
-            Rule(
-                lower=lower,
-                upper=upper,
-                coefficients=_float_array(rule_doc, "coefficients", where, length=dim),
-                intercept=_require(rule_doc, "intercept", float, where),
-                in_sample_mse=mse,
-                experience=experience,
-                volume=volume,
-                fitness=_require(rule_doc, "fitness", float, where),
-            )
-        )
-    pool = Pool(rules)
+    pool = _pool_from_doc(_require(doc, "pool", list, ""), transform.dim)
 
     elitist_doc = _require(doc, "elitist", dict, "")
     bits = _require(elitist_doc, "genome_bits", str, "elitist")
     if len(bits) != len(pool) or set(bits) - {"0", "1"}:
         raise ModelFormatError(f"elitist.genome_bits must be a string of {len(pool)} 0/1 characters")
-    genome = np.array([c == "1" for c in bits], dtype=bool)
-    genome.setflags(write=False)
+    genome = _readonly([c == "1" for c in bits], bool)
     complexity = _require(elitist_doc, "complexity", int, "elitist")
     if complexity != int(np.count_nonzero(genome)):
         raise ModelFormatError("elitist.complexity does not match genome_bits")
@@ -197,12 +186,23 @@ def document_to_model(doc) -> TrainedModel:
 
 
 def load_model(path) -> TrainedModel:
-    def reject_constant(name: str):
-        raise ModelFormatError(f"{path}: non-finite number {name} in model file")
+    constants = []
+
+    def note_constant(name: str) -> float:
+        constants.append(name)
+        return float(name)
 
     with open(str(path)) as fh:
         try:
-            doc = json.load(fh, parse_constant=reject_constant)
+            doc = json.load(fh, parse_constant=note_constant)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return document_to_model(doc)
+    if not constants:
+        return document_to_model(doc)
+    # the checks of the document name the field that holds the constant
+    where = ""
+    try:
+        document_to_model(doc)
+    except ModelFormatError as exc:
+        where = f": {exc}"
+    raise ModelFormatError(f"{path}: non-finite number {constants[0]} in model file{where}")

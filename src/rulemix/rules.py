@@ -1,17 +1,19 @@
-"""Interval rules, their linear submodels, and mixing-based prediction.
+"""Interval rules, their linear submodels, the pool and mixing.
 
 A rule matches the inputs lying inside its closed per-dimension
 interval and predicts through a linear model fitted by ridge regression
-on exactly the training rows it matches. Fitted rules are immutable;
-the pool that archives them only ever appends, so a rule's pool index
-is a stable identifier for the whole run.
+on exactly the training rows it matches. Rule fitnesses are independent,
+so a fitted rule never changes: the Pool keeps every rule of a run as
+rows of stacked arrays and only ever appends, so a rule's pool index is
+a stable identifier for the whole run. Every prediction, in training
+and in serving, mixes rules through one chunked kernel, _mix_terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,8 +25,8 @@ from .fitness import FitnessParams, combine, pseudo_accuracy
 MIX_EPS = 1e-6
 
 
-def _readonly(values) -> np.ndarray:
-    out = np.array(values, dtype=float)
+def _readonly(values, dtype=float) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -42,10 +44,6 @@ class Rule:
     experience: int
     volume: float
     fitness: float
-
-    @property
-    def dim(self) -> int:
-        return int(self.lower.shape[0])
 
 
 def match_mask(lower: np.ndarray, upper: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -85,7 +83,7 @@ def _match_matrix(lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray) -> np.n
     Built one feature column at a time, which reads a Fortran-ordered X
     contiguously."""
     matched = np.ones((lowers.shape[0], X.shape[0]), dtype=bool)
-    for j in range(X.shape[1]):
+    for j in range(lowers.shape[1]):
         column = X[:, j]
         matched &= column >= lowers[:, j, None]
         matched &= column <= uppers[:, j, None]
@@ -176,47 +174,92 @@ def rule_fitness(rule: Rule, params: FitnessParams) -> float:
     return _fitness(rule.in_sample_mse, rule.volume, params)
 
 
-class Pool:
-    """Append-only archive of every fitted rule a run has produced."""
+# The stacked columns of a Pool, in the order of Rule's fields.
+COLUMNS = ("lowers", "uppers", "coefficients", "intercepts", "in_sample_mse", "experience", "volume", "fitness")
 
-    def __init__(self, rules: Sequence[Rule] = ()):
-        self._rules: list[Rule] = list(rules)
+
+class Pool:
+    """Append-only archive of every fitted rule a run has produced, as
+    read-only stacked arrays, row i of each for rule i: lowers, uppers
+    and coefficients are (P, d); intercepts, in_sample_mse, experience,
+    volume and fitness are (P,). pool[i] is a Rule view of row i, and
+    pool[genome] or pool[indices] a Pool of the chosen rows."""
+
+    def __init__(self, rules: Iterable[Rule] = ()):
+        self.lowers = self.uppers = self.coefficients = _readonly(np.empty((0, 0)))
+        self.intercepts = self.in_sample_mse = self.experience = self.volume = self.fitness = _readonly(np.empty(0))
+        self.extend(rules)
 
     def append(self, rule: Rule) -> None:
-        self._rules.append(rule)
+        self.extend([rule])
 
-    def extend(self, rules: Sequence[Rule]) -> None:
-        self._rules.extend(rules)
+    def extend(self, rules: Iterable[Rule]) -> None:
+        """Append rules, one concatenation per column."""
+        rows = [(r.lower, r.upper, r.coefficients, r.intercept, r.in_sample_mse, r.experience, r.volume, r.fitness) for r in rules]
+        for name, column in zip(COLUMNS, zip(*rows)):
+            old = getattr(self, name)
+            setattr(self, name, _readonly(np.concatenate([old, column]) if len(old) else column))
 
     def selected(self, genome: np.ndarray) -> list[Rule]:
         """The rules picked out by a boolean genome over the pool."""
-        if len(genome) != len(self._rules):
-            raise ValueError(f"genome length {len(genome)} does not match pool size {len(self._rules)}")
-        return [rule for rule, bit in zip(self._rules, genome) if bit]
+        if len(genome) != len(self):
+            raise ValueError(f"genome length {len(genome)} does not match pool size {len(self)}")
+        return list(self[np.asarray(genome, dtype=bool)])
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return int(self.intercepts.shape[0])
 
-    def __getitem__(self, index: int) -> Rule:
-        return self._rules[index]
+    def __getitem__(self, key):
+        columns = [getattr(self, name)[key] for name in COLUMNS]
+        if isinstance(key, (int, np.integer)):
+            intercept, mse, experience, volume, fitness = map(float, columns[3:])
+            return Rule(*columns[:3], intercept, mse, int(experience), volume, fitness)
+        chosen = Pool()
+        for name, column in zip(COLUMNS, columns):
+            setattr(chosen, name, _readonly(column))
+        return chosen
 
     def __iter__(self) -> Iterator[Rule]:
-        return iter(self._rules)
+        return (self[i] for i in range(len(self)))
 
 
-def mixing_terms(
-    rule: Rule, X: np.ndarray, X_columns: np.ndarray, eps: float = MIX_EPS
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """A rule's part in the mix at the rows of X: the mask of the rows it
-    matches, its weight experience / (mse + eps), and its output times
-    that weight at every row.
+# Rows are taken this many bytes of floats per rule, child or moment
+# column at a time: larger temporaries were mapped fresh on every call,
+# and a 4-d, 5000-row ES generation took 150 page faults at 1 MB.
+CHUNK_BYTES = 1 << 15
 
-    X must be C-ordered and X_columns its Fortran-ordered copy: the mask
-    is read from the copy, where matching is fast, and the outputs from
-    X, since X @ coefficients rounds differently in the two orders.
+
+def _mix_terms(pool: Pool, X: np.ndarray, eps: float = MIX_EPS) -> Iterator[tuple[slice, np.ndarray]]:
+    """The mixing kernel. For each chunk of rows of a C-ordered 2-d X,
+    CHUNK_BYTES of floats per rule, yields (rows, terms): terms[i, 0] is
+    rule i's output times its weight experience / (mse + eps), terms[i, 1]
+    that weight, both +0.0 where rule i does not match. Summed over axis 0
+    from 0.0 they add the rules in pool order. terms is reused.
+
+    Each output is its rule's own X @ coefficients: a stacked product
+    rounds otherwise for d > 1. Chunks start at multiples of 4 rows, so
+    BLAS rounds each row as on all of X, and a lone last row joins the
+    chunk before it, since numpy takes a dot product for one row.
     """
-    weight = rule.experience / (rule.in_sample_mse + eps)
-    return match_mask(rule.lower, rule.upper, X_columns), weight, weight * (X @ rule.coefficients + rule.intercept)
+    if len(pool) and pool.lowers.shape[1] != X.shape[1]:
+        raise ValueError(f"dimension mismatch: rules have {pool.lowers.shape[1]} dimensions, X has {X.shape[1]}")
+    X_columns = np.asfortranarray(X)
+    weights = (pool.experience / (pool.in_sample_mse + eps))[:, None]
+    step = max(4, CHUNK_BYTES // 32 * 4)
+    bounds = [*range(0, max(X.shape[0] - 1, 1), step), X.shape[0]]
+    terms = np.empty((len(pool), 2, min(step + 1, X.shape[0])))
+    for start, stop in zip(bounds, bounds[1:]):
+        chunk = terms[:, :, : stop - start]
+        for coefficients, outputs in zip(pool.coefficients, chunk[:, 0]):
+            np.matmul(X[start:stop], coefficients, out=outputs)
+        chunk[:, 0] += pool.intercepts[:, None]
+        chunk[:, 0] *= weights
+        chunk[:, 1] = weights
+        # keeping all bits of matching entries and none of the others makes
+        # those +0.0 even at inf or NaN; a masked multiply was 3x slower
+        keep = np.subtract(0, _match_matrix(pool.lowers, pool.uppers, X_columns[start:stop]), dtype=np.int64)
+        np.bitwise_and(chunk.view(np.int64), keep[:, None], out=chunk.view(np.int64))
+        yield slice(start, stop), chunk
 
 
 def mix_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -227,21 +270,19 @@ def mix_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return predictions
 
 
-def mix_predict(rules: Sequence[Rule], X, eps: float = MIX_EPS) -> np.ndarray:
+def mix_predict(rules: Pool | Sequence[Rule], X, eps: float = MIX_EPS) -> np.ndarray:
     """Weighted average of the matching rules' outputs at each row of X.
 
     Each matching rule contributes with weight experience / (mse + eps).
     Rows matched by no rule predict 0, the standardized target mean.
-    The result does not depend on the memory order of X.
+    The result does not depend on the memory order of X; for d = 1 a
+    row also predicts the same bits alone as in a batch.
     """
+    pool = rules if isinstance(rules, Pool) else Pool(rules)
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
-    X_columns = np.asfortranarray(X)
-    numerator = np.zeros(X.shape[0])
-    denominator = np.zeros(X.shape[0])
-    for rule in rules:
-        mask, weight, weighted_outputs = mixing_terms(rule, X, X_columns, eps)
-        numerator[mask] += weighted_outputs[mask]
-        denominator[mask] += weight
-    return mix_ratio(numerator, denominator)
+    sums = np.empty((2, X.shape[0]))
+    for rows, terms in _mix_terms(pool, X, eps):
+        np.add.reduce(terms, axis=0, out=sums[:, rows], initial=0.0)
+    return mix_ratio(sums[0], sums[1])

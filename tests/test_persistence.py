@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,6 +28,7 @@ from rulemix import (
     write_report_json,
 )
 from rulemix.benchmark import BenchmarkReport, RunRecord, write_records_csv
+from rulemix.cli import EXIT_DATA, main
 from rulemix.errors import ModelFormatError, ModelVersionError
 from rulemix.persistence import FORMAT_VERSION, document_to_model
 
@@ -384,3 +388,47 @@ def test_save_load_round_trip_of_arbitrary_pools(tmp_path_factory, case):
     assert json.dumps(model_document(loaded), sort_keys=True) == json.dumps(model_document(model), sort_keys=True)
     X = model.transform.inverse_features(X_scaled)
     assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
+
+
+FAULTS = ("NaN", "Infinity", "-Infinity", "below the box", "above the box", "lower above upper", "huge experience")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_bad_value_in_any_one_rule_fails_closed(trained, tmp_path_factory, data):
+    """A model file with NaN or Inf in any field of one rule, a bound
+    outside [-1, 1], a lower bound above the upper one or an experience
+    beyond the float range fails to load with an error that names that
+    rule, and `rulemix predict` exits with the data error code."""
+    model, _ = trained
+    doc = model_document(model)
+    index = data.draw(st.integers(0, len(doc["pool"]) - 1), label="rule")
+    rule = doc["pool"][index]
+    fault = data.draw(st.sampled_from(FAULTS), label="fault")
+    j = data.draw(st.integers(0, len(rule["lower"]) - 1), label="dimension")
+    step = data.draw(st.floats(1e-9, 10.0), label="step")
+    if fault in ("NaN", "Infinity", "-Infinity"):
+        key = data.draw(st.sampled_from(sorted(set(rule) - {"experience"})), label="field")
+        if isinstance(rule[key], list):
+            rule[key][j] = float(fault.lower().replace("infinity", "inf"))
+        else:
+            rule[key] = float(fault.lower().replace("infinity", "inf"))
+    elif fault == "below the box":
+        rule["lower"][j] = -1.0 - step
+    elif fault == "above the box":
+        rule["upper"][j] = 1.0 + step
+    elif fault == "huge experience":
+        rule["experience"] = 10**400
+    else:
+        rule["lower"][j] = rule["upper"][j] + step
+    directory = tmp_path_factory.mktemp("bad-rule")
+    path = directory / "model.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    with pytest.raises(ModelFormatError, match=re.escape(f"pool[{index}]")):
+        load_model(path)
+    features = directory / "query.csv"
+    features.write_text("f0,f1\n0.5,1.0\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["predict", str(path), str(features)]) == EXIT_DATA
+    assert f"pool[{index}]" in stderr.getvalue()

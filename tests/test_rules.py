@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,11 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import rulemix.rules
 from rulemix import (
     FitnessParams,
+    LearnerConfig,
     Pool,
     PoolEvaluator,
     Rule,
+    TrainedModel,
+    TransformState,
     fit_submodel,
     match_mask,
     match_set,
@@ -18,6 +23,7 @@ from rulemix import (
     rule_fitness,
 )
 from rulemix.errors import EmptyMatchError, NotFittedError
+from rulemix.rules import MIX_EPS
 
 
 def make_rule(lower, upper, coefficients, intercept=0.0, mse=0.1, experience=5):
@@ -231,7 +237,8 @@ class TestPool:
         pool.append(r1)
         pool.extend([r2])
         assert len(pool) == 2
-        assert pool[0] is r1
+        # the pool stores arrays, so pool[0] is an equal view, not r1 itself
+        assert pool[0] == r1
         assert list(pool) == [r1, r2]
 
     def test_selected(self):
@@ -406,3 +413,111 @@ def test_mixed_prediction_lies_within_the_matching_rules_outputs(case):
             continue
         slack = 1e-12 * max(1.0, float(np.abs(at_row).max()))
         assert at_row.min() - slack <= prediction <= at_row.max() + slack
+
+
+def sequential_mix(rules, X, eps=MIX_EPS):
+    """The per-rule mixing loop the chunked kernel replaced, kept as its
+    oracle: each rule's weighted output is computed on the whole of X and
+    added, with its weight, to running sums at the rows it matches, in
+    pool order from 0.0."""
+    X = np.ascontiguousarray(X, dtype=float)
+    numerator = np.zeros(X.shape[0])
+    denominator = np.zeros(X.shape[0])
+    for rule in rules:
+        mask = match_mask(rule.lower, rule.upper, X)
+        weight = rule.experience / (rule.in_sample_mse + eps)
+        weighted_outputs = weight * (X @ rule.coefficients + rule.intercept)
+        numerator[mask] += weighted_outputs[mask]
+        denominator[mask] += weight
+    predictions = np.zeros(X.shape[0])
+    np.divide(numerator, denominator, out=predictions, where=denominator > 0)
+    return predictions
+
+
+@st.composite
+def pools_over_queries(draw):
+    """Random rules in [-1, 1]^d, a few with overflowing outputs, and a
+    query X whose rows lie inside and outside the box, on rule bounds,
+    and in places no rule matches, some of them huge, infinite or NaN;
+    X may be Fortran-ordered."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 120))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rules = []
+    for _ in range(draw(st.integers(0, 10))):
+        a, b = gen.uniform(-1.0, 1.0, size=(2, d))
+        if gen.random() < 0.3:
+            b = a.copy()
+        rules.append(
+            make_rule(
+                np.minimum(a, b),
+                np.maximum(a, b),
+                # 1e308-sized coefficients overflow, also where the rule does not match
+                gen.normal(0.0, 3.0, size=d) if gen.random() < 0.9 else gen.choice([-1e308, 1e308], size=d),
+                intercept=gen.normal(),
+                mse=float(gen.choice([0.0, gen.uniform(0.0, 2.0)])),
+                experience=int(gen.integers(1, 500)),
+            )
+        )
+    X = gen.uniform(-1.5, 1.5, size=(n, d))
+    for row in range(n):
+        kind = gen.random()
+        if rules and kind < 0.3:
+            rule = rules[int(gen.integers(len(rules)))]
+            X[row] = np.where(gen.random(d) < 0.5, rule.lower, rule.upper)
+        elif kind < 0.35:
+            X[row, int(gen.integers(d))] = gen.choice([1e308, -np.inf, np.inf, np.nan])
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return rules, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools_over_queries(), st.sampled_from([1, 32, 64, 100, 1 << 15]))
+def test_mixing_kernel_equals_sequential_loop_bitwise(case, chunk_bytes):
+    """mix_predict and PoolEvaluator, through the chunked kernel, give the
+    bits of the per-rule loop: any d, either memory order, any number of
+    chunks, empty pools and rows no rule matches, and no inf or NaN output
+    of a rule reaches a row it does not match."""
+    rules, X = case
+    with mock.patch.object(rulemix.rules, "CHUNK_BYTES", chunk_bytes), np.errstate(over="ignore", invalid="ignore"):
+        expected = sequential_mix(rules, X)
+        assert mix_predict(rules, X).tobytes() == expected.tobytes()
+        assert mix_predict(Pool(rules), X).tobytes() == expected.tobytes()
+        if rules and X.shape[0]:
+            evaluator = PoolEvaluator(Pool(rules), X, np.zeros(X.shape[0]))
+            assert evaluator.predictions(np.ones(len(rules), dtype=bool)).tobytes() == expected.tobytes()
+            assert not evaluator.predictions(np.zeros(len(rules), dtype=bool)).any()
+
+
+def test_batches_longer_than_one_chunk_mix_as_one():
+    """Unpatched, a chunk holds 4096 rows; 10,001 rows take three, the
+    last one short."""
+    gen = np.random.default_rng(5)
+    rules = [make_rule(*np.sort(gen.uniform(-1.0, 1.0, size=(2, 3)), axis=0), gen.normal(size=3), gen.normal()) for _ in range(9)]
+    X = gen.uniform(-1.0, 1.0, size=(10_001, 3))
+    assert mix_predict(rules, X).tobytes() == sequential_mix(rules, X).tobytes()
+
+
+def test_one_row_mixes_eight_or_more_rules_in_pool_order():
+    """On a 1-d model whose selected rules all fire at each row, a row
+    predicted alone gives the bits of the same row in a batch. Summing
+    the rules of one row over a 1-d vector of 8 or more values would
+    take numpy's unrolled partial sums instead of pool order."""
+    gen = np.random.default_rng(11)
+    rules = [
+        make_rule([-1.0], [1.0], gen.normal(0.0, 3.0, size=1), gen.normal(), gen.uniform(0.0, 1.0), int(gen.integers(1, 100)))
+        for _ in range(16)
+    ]
+    pool = Pool(rules)
+    X = gen.uniform(-1.0, 1.0, size=(400, 1))
+    genome = np.arange(16) % 5 != 0
+    assert np.count_nonzero(genome) >= 8
+    transform = TransformState(feature_min=np.array([-1.0]), feature_max=np.array([1.0]), target_mean=0.25, target_std=2.0)
+    elitist = PoolEvaluator(pool, X, np.zeros(X.shape[0])).evaluate(genome, FitnessParams())
+    model = TrainedModel(pool=pool, elitist=elitist, transform=transform, config=LearnerConfig())
+    X_raw = transform.inverse_features(X)
+    batch = model.predict(X_raw)
+    singles = np.array([model.predict(X_raw[i : i + 1])[0] for i in range(X.shape[0])])
+    assert singles.tobytes() == batch.tobytes()
+    assert mix_predict(pool[genome], X).tobytes() == sequential_mix(pool.selected(genome), X).tobytes()
