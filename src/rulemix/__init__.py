@@ -54,7 +54,7 @@ from .errors import (
 from .fitness import FitnessParams, combine, pseudo_accuracy, solution_objectives
 from .learner import LearnerConfig, TrainedModel, config_from_dict, config_to_dict, fit
 from .persistence import load_model, model_document, save_model
-from .rules import Pool, Rule, fit_submodel, match_mask, match_set, mix_predict, rule_fitness
+from .rules import Pool, Rule, fit_submodel, match_mask, mix_predict
 from .stats import WilcoxonResult, wilcoxon_signed_rank
 
 __version__ = "0.1.0"
@@ -103,7 +103,6 @@ __all__ = [
     "load_csv",
     "load_model",
     "match_mask",
-    "match_set",
     "mix_predict",
     "model_document",
     "monte_carlo_split",
@@ -111,7 +110,6 @@ __all__ = [
     "n_point_crossover",
     "pseudo_accuracy",
     "report_document",
-    "rule_fitness",
     "run_benchmark",
     "save_model",
     "select_seed_example",

@@ -12,10 +12,9 @@ Mutation only ever widens intervals and bounds are clipped to the
 scaled domain, so every run reaches a fixed point and terminates.
 
 Rule fitnesses are independent of one another, so the lambda ridge fits
-of a generation are made together: moments of the union rows (those in
-the box spanning every child), one stacked solve, and each child's MSE
-summed from its residuals. They agree with fit_submodel up to rounding;
-fit_submodel still fits the first parent and the rule a run returns.
+of a generation are made together by rules._ridge_fits, the one ridge
+arithmetic of the package; fit_submodel, which fits the first parent and
+the rule a run returns, is the same function on a single box.
 """
 
 from __future__ import annotations
@@ -24,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMatchError
+from .errors import ConfigError
 from .fitness import FitnessParams
 from .rng import spawn_rng
-from .rules import CHUNK_BYTES, Rule, _check_bounds, _fitness, _match_matrix, _solve_ridge, _volume, fit_submodel
+from .rules import Rule, _check_bounds, _fitness, _ridge_fits, _volume, fit_submodel
 
 
 @dataclass(frozen=True)
@@ -108,62 +107,13 @@ def mutate(
 def _score_children(
     lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray, y: np.ndarray, ridge_coeff: float, fitness_params: FitnessParams
 ) -> list[float]:
-    """Fitness of each child [lowers[i], uppers[i]], what fit_submodel
-    would stamp on it up to rounding, with fit_submodel's checks made
-    once for the whole generation."""
+    """Fitness of each child [lowers[i], uppers[i]] from one _ridge_fits
+    call, with fit_submodel's checks made once for the whole generation.
+    A generation of one box gives fit_submodel's fitness bit for bit."""
     _check_bounds(lowers, uppers)
     volumes = _volume(lowers, uppers).tolist()
-    mses = _children_mse(lowers, uppers, X, y, ridge_coeff).tolist()
+    mses = _ridge_fits(lowers, uppers, X, y, ridge_coeff)[2].tolist()
     return [_fitness(mse, volume, fitness_params) for mse, volume in zip(mses, volumes)]
-
-
-def _children_mse(lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray, y: np.ndarray, ridge_coeff: float) -> np.ndarray:
-    """In-sample MSE of each child's ridge fit, from one array step for
-    the whole generation.
-
-    Only the union rows, those inside the box spanning every child, are
-    read. With z = [1, x - shift, y] at each of them, where shift is the
-    centre of the box every child contains, the (lambda, k) match matrix
-    times the pairwise products z_a * z_b gives every child's count, sums
-    and second moments. Centring these gives each child's ridge system,
-    and one stacked solve fits them all. Each MSE is summed from the
-    child's own residuals, never from the moments, which lose digits when
-    the error is small. Both passes take the rows CHUNK_BYTES at a time.
-    """
-    n_children, d = lowers.shape
-    in_box = np.flatnonzero(_match_matrix(lowers.min(axis=0)[None], uppers.max(axis=0)[None], X)[0])
-    Z = np.empty((d + 2, in_box.size))
-    Z[0] = 1.0
-    Z[1 : d + 1] = X.T[:, in_box]
-    matched = _match_matrix(lowers, uppers, Z[1 : d + 1].T)
-    Z[1 : d + 1] -= ((lowers.max(axis=0) + uppers.min(axis=0)) / 2.0)[:, None]
-    # a target no child matches must not reach the others through 0 * inf
-    Z[d + 1] = np.where(matched.any(axis=0), y[in_box], 0.0)
-    first, second = np.array([(a, b) for a in range(d + 2) for b in range(a, d + 2)]).T
-    chunk = max(1, CHUNK_BYTES // (8 * max(n_children, first.size)))
-    chunks = [slice(start, start + chunk) for start in range(0, in_box.size, chunk)]
-
-    moments = np.zeros((n_children, first.size))
-    for rows in chunks:
-        z = Z[:, rows]
-        moments += matched[:, rows].astype(float) @ (z[first] * z[second]).T
-    # the products with z_0 = 1 come first: the count, then the sums
-    sums = moments[:, : d + 2]
-    counts = sums[:, 0]
-    if not counts.all():
-        raise EmptyMatchError("rule matches no training example")
-    scatter = np.empty((n_children, d + 2, d + 2))
-    scatter[:, first, second] = scatter[:, second, first] = moments - sums[:, first] * sums[:, second] / counts[:, None]
-    coefficients = _solve_ridge(scatter[:, 1 : d + 1, 1 : d + 1] + ridge_coeff * np.eye(d), scatter[:, 1 : d + 1, d + 1])
-    intercepts = (sums[:, d + 1] - np.einsum("ij,ij->i", sums[:, 1 : d + 1], coefficients)) / counts
-    model = np.column_stack([intercepts, coefficients])
-
-    squared_errors = np.zeros(n_children)
-    for rows in chunks:
-        residuals = Z[d + 1, rows] - model @ Z[: d + 1, rows]
-        residuals *= matched[:, rows]
-        squared_errors += np.einsum("ij,ij->i", residuals, residuals)
-    return squared_errors / counts
 
 
 def evolve_rule(
@@ -179,9 +129,11 @@ def evolve_rule(
 
     The seed example lies inside its initial interval and mutation only
     widens, so every rule of the run matches at least the seed example.
-    fit_submodel fits the first parent and the returned rule; each
-    generation is scored by one _score_children call, from the moments of
-    its union rows, one stacked ridge solve and residual MSEs.
+    fit_submodel fits the first parent and the returned rule, and one
+    _score_children call scores each generation, all through the same
+    ridge arithmetic. A box fitted among other children is centred on
+    another shift and summed over other rows than alone, so its fitness
+    there can differ from fit_submodel's in the last bits.
     """
     seed_index = select_seed_example(errors, rng)
     lower, upper = init_interval(X[seed_index], config.init_spread, rng)

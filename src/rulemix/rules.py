@@ -2,18 +2,21 @@
 
 A rule matches the inputs lying inside its closed per-dimension
 interval and predicts through a linear model fitted by ridge regression
-on exactly the training rows it matches. Rule fitnesses are independent,
-so a fitted rule never changes: the Pool keeps every rule of a run as
-rows of stacked arrays and only ever appends, so a rule's pool index is
-a stable identifier for the whole run. Every prediction, in training
-and in serving, mixes rules through one chunked kernel, _mix_terms.
+on exactly the training rows it matches. Every rule is fitted by one
+batched ridge arithmetic, _ridge_fits: alone through fit_submodel, or
+with the other children of its ES generation. Rule fitnesses are
+independent, so a fitted rule never changes: the Pool keeps every rule
+of a run as rows of stacked arrays and only ever appends, so a rule's
+pool index is a stable identifier for the whole run. Every prediction,
+in training and in serving, mixes rules through one chunked kernel,
+_mix_terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -55,13 +58,7 @@ def match_mask(lower: np.ndarray, upper: np.ndarray, X: np.ndarray) -> np.ndarra
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
     if X.shape[1] != lower.shape[0]:
         raise ValueError(f"dimension mismatch: rule has {lower.shape[0]} dimensions, X has {X.shape[1]}")
-    return ((X >= lower) & (X <= upper)).all(axis=1)
-
-
-def match_set(rule: Rule, X) -> np.ndarray:
-    """Indices of the rows of X the rule matches, in ascending order."""
-    X = np.asarray(X, dtype=float)
-    return np.flatnonzero(match_mask(rule.lower, rule.upper, X))
+    return _match_matrix(lower[None], upper[None], X)[0]
 
 
 def _volume(lower: np.ndarray, upper: np.ndarray):
@@ -73,12 +70,13 @@ def _volume(lower: np.ndarray, upper: np.ndarray):
 def _check_bounds(lower: np.ndarray, upper: np.ndarray) -> None:
     """Reject bounds outside -1 <= lower <= upper <= 1, for one rule or for
     a stack of them."""
-    if np.any(lower > upper) or np.any(lower < -1.0) or np.any(upper > 1.0):
+    if (lower > upper).any() or (lower < -1.0).any() or (upper > 1.0).any():
         raise ValueError("bounds must satisfy -1 <= lower <= upper <= 1 in every dimension")
 
 
 def _match_matrix(lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Boolean (k, n) matrix whose row i is match_mask(lowers[i], uppers[i], X).
+    """Boolean (k, n) matrix whose entry (i, r) says whether row r of X
+    lies inside [lowers[i], uppers[i]] in every dimension.
 
     Built one feature column at a time, which reads a Fortran-ordered X
     contiguously."""
@@ -103,8 +101,8 @@ def fit_submodel(
     Minimizes the sum of squared residuals plus ridge_coeff times the
     squared coefficient norm; the intercept is not penalized. Passing
     fitness_params also stamps the rule's fitness, otherwise it is 0.
-    X[mask] is C-ordered whatever the order of X, so either order gives
-    the same fit bit for bit.
+    The fit is _ridge_fits on a stack of one box, so either memory order
+    of X gives the same fit bit for bit.
     """
     if not ridge_coeff >= 0:
         raise ValueError(f"ridge_coeff must be non-negative, got {ridge_coeff}")
@@ -113,35 +111,84 @@ def fit_submodel(
     if lower.shape != upper.shape or lower.ndim != 1:
         raise ValueError("lower and upper must be 1-d arrays of equal length")
     _check_bounds(lower, upper)
-    mask = match_mask(lower, upper, X)
-    n_matched = int(np.count_nonzero(mask))
-    if n_matched == 0:
-        raise EmptyMatchError("rule matches no training example")
-    Xm = X[mask]
-    ym = y[mask]
-    # Centering makes the penalty apply to the slope only: for any fixed
-    # slope the optimal intercept is y_mean - x_mean @ w. The means are
-    # np.mean's own arithmetic without its per-call wrapping.
-    x_mean = np.add.reduce(Xm, axis=0) / n_matched
-    y_mean = np.add.reduce(ym) / n_matched
-    Xc = Xm - x_mean
-    gram = Xc.T @ Xc
-    gram.flat[:: Xm.shape[1] + 1] += ridge_coeff
-    coefficients = _solve_ridge(gram[None], (Xc.T @ (ym - y_mean))[None])[0]
-    intercept = float(y_mean - x_mean @ coefficients)
-    residuals = ym - (Xm @ coefficients + intercept)
-    mse = float(residuals @ residuals) / n_matched
+    if X.ndim != 2 or X.shape[1] != lower.shape[0]:
+        raise ValueError(f"X must be 2-d with {lower.shape[0]} columns, got shape {X.shape}")
+    coefficients, intercepts, mses, counts = _ridge_fits(lower[None], upper[None], X, y, ridge_coeff)
+    mse = float(mses[0])
     volume = float(_volume(lower, upper))
     return Rule(
         lower=lower,
         upper=upper,
-        coefficients=_readonly(coefficients),
-        intercept=intercept,
+        coefficients=_readonly(coefficients[0]),
+        intercept=float(intercepts[0]),
         in_sample_mse=mse,
-        experience=n_matched,
+        experience=int(counts[0]),
         volume=volume,
         fitness=0.0 if fitness_params is None else _fitness(mse, volume, fitness_params),
     )
+
+
+# Rows are taken this many bytes of floats per rule, child or moment
+# column at a time: larger temporaries were mapped fresh on every call,
+# and a 4-d, 5000-row ES generation took 150 page faults at 1 MB.
+CHUNK_BYTES = 1 << 15
+
+
+def _ridge_fits(
+    lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray, y: np.ndarray, ridge_coeff: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ridge fits of k boxes [lowers[i], uppers[i]] from one array
+    step: their (k, d) coefficients and their (k,) intercepts, in-sample
+    MSEs and matched-row counts. Every rule is fitted here, alone by
+    fit_submodel or with the other children of its ES generation.
+
+    Only the union rows, those inside the box spanning every box, are
+    read. With z = [1, x - shift, y] at each of them, where shift is the
+    centre of the boxes' intersection, the (k, m) match matrix times
+    the pairwise products z_a * z_b gives every box's count, sums and
+    second moments. Centring these gives each box's ridge system, whose
+    intercept is not penalized, and one stacked solve fits them all. Each
+    MSE is summed from the box's own residuals, never from the moments,
+    which lose digits when the error is small. Both passes take the rows
+    CHUNK_BYTES at a time. The intercepts returned are for x itself.
+    """
+    n_boxes, d = lowers.shape
+    in_box = np.flatnonzero(_match_matrix(lowers.min(axis=0)[None], uppers.max(axis=0)[None], X)[0])
+    Z = np.empty((d + 2, in_box.size))
+    Z[0] = 1.0
+    Z[1 : d + 1] = X.T[:, in_box]
+    # a lone box matches every row inside itself
+    matched = _match_matrix(lowers, uppers, Z[1 : d + 1].T) if n_boxes > 1 else np.ones((1, in_box.size), dtype=bool)
+    shift = (lowers.max(axis=0) + uppers.min(axis=0)) / 2.0
+    Z[1 : d + 1] -= shift[:, None]
+    # a target no box matches must not reach the others through 0 * inf
+    Z[d + 1] = np.where(matched.any(axis=0), y[in_box], 0.0)
+    # the pairs a <= b in row-major order
+    first, second = np.nonzero(np.tri(d + 2, dtype=bool).T)
+    chunk = max(1, CHUNK_BYTES // (8 * max(n_boxes, first.size)))
+    chunks = [slice(start, start + chunk) for start in range(0, in_box.size, chunk)]
+
+    moments = np.zeros((n_boxes, first.size))
+    for rows in chunks:
+        z = Z[:, rows]
+        moments += matched[:, rows].astype(float) @ (z[first] * z[second]).T
+    # the products with z_0 = 1 come first: the count, then the sums
+    sums = moments[:, : d + 2]
+    counts = sums[:, 0]
+    if not counts.all():
+        raise EmptyMatchError("rule matches no training example")
+    scatter = np.empty((n_boxes, d + 2, d + 2))
+    scatter[:, first, second] = scatter[:, second, first] = moments - sums[:, first] * sums[:, second] / counts[:, None]
+    coefficients = _solve_ridge(scatter[:, 1 : d + 1, 1 : d + 1] + ridge_coeff * np.eye(d), scatter[:, 1 : d + 1, d + 1])
+    intercepts = (sums[:, d + 1] - np.einsum("ij,ij->i", sums[:, 1 : d + 1], coefficients)) / counts
+    model = np.column_stack([intercepts, coefficients])
+
+    squared_errors = np.zeros(n_boxes)
+    for rows in chunks:
+        residuals = Z[d + 1, rows] - model @ Z[: d + 1, rows]
+        residuals *= matched[:, rows]
+        squared_errors += np.einsum("ij,ij->i", residuals, residuals)
+    return coefficients, intercepts - coefficients @ shift, squared_errors / counts, counts
 
 
 def _solve_ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -169,11 +216,6 @@ def _fitness(mse: float, volume: float, params: FitnessParams) -> float:
     return combine(pseudo_accuracy(mse, params.beta), volume, params.alpha)
 
 
-def rule_fitness(rule: Rule, params: FitnessParams) -> float:
-    """Blend of the rule's error pseudo-accuracy and its volume share."""
-    return _fitness(rule.in_sample_mse, rule.volume, params)
-
-
 # The stacked columns of a Pool, in the order of Rule's fields.
 COLUMNS = ("lowers", "uppers", "coefficients", "intercepts", "in_sample_mse", "experience", "volume", "fitness")
 
@@ -190,21 +232,12 @@ class Pool:
         self.intercepts = self.in_sample_mse = self.experience = self.volume = self.fitness = _readonly(np.empty(0))
         self.extend(rules)
 
-    def append(self, rule: Rule) -> None:
-        self.extend([rule])
-
     def extend(self, rules: Iterable[Rule]) -> None:
         """Append rules, one concatenation per column."""
         rows = [(r.lower, r.upper, r.coefficients, r.intercept, r.in_sample_mse, r.experience, r.volume, r.fitness) for r in rules]
         for name, column in zip(COLUMNS, zip(*rows)):
             old = getattr(self, name)
             setattr(self, name, _readonly(np.concatenate([old, column]) if len(old) else column))
-
-    def selected(self, genome: np.ndarray) -> list[Rule]:
-        """The rules picked out by a boolean genome over the pool."""
-        if len(genome) != len(self):
-            raise ValueError(f"genome length {len(genome)} does not match pool size {len(self)}")
-        return list(self[np.asarray(genome, dtype=bool)])
 
     def __len__(self) -> int:
         return int(self.intercepts.shape[0])
@@ -221,12 +254,6 @@ class Pool:
 
     def __iter__(self) -> Iterator[Rule]:
         return (self[i] for i in range(len(self)))
-
-
-# Rows are taken this many bytes of floats per rule, child or moment
-# column at a time: larger temporaries were mapped fresh on every call,
-# and a 4-d, 5000-row ES generation took 150 page faults at 1 MB.
-CHUNK_BYTES = 1 << 15
 
 
 def _mix_terms(pool: Pool, X: np.ndarray, eps: float = MIX_EPS) -> Iterator[tuple[slice, np.ndarray]]:
@@ -270,7 +297,7 @@ def mix_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     return predictions
 
 
-def mix_predict(rules: Pool | Sequence[Rule], X, eps: float = MIX_EPS) -> np.ndarray:
+def mix_predict(pool: Pool, X, eps: float = MIX_EPS) -> np.ndarray:
     """Weighted average of the matching rules' outputs at each row of X.
 
     Each matching rule contributes with weight experience / (mse + eps).
@@ -278,7 +305,6 @@ def mix_predict(rules: Pool | Sequence[Rule], X, eps: float = MIX_EPS) -> np.nda
     The result does not depend on the memory order of X; for d = 1 a
     row also predicts the same bits alone as in a batch.
     """
-    pool = rules if isinstance(rules, Pool) else Pool(rules)
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")

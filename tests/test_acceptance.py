@@ -22,13 +22,13 @@ from rulemix import (
     gen_piecewise_linear,
     load_csv,
     load_model,
-    match_set,
+    match_mask,
     run_benchmark,
     save_model,
     wilcoxon_signed_rank,
 )
 from rulemix.cli import EXIT_OK, main
-from rulemix.rules import Rule, fit_submodel
+from rulemix.rules import Rule, _match_matrix, fit_submodel
 
 from conftest import linear_data, small_config
 
@@ -93,7 +93,8 @@ def test_criterion_03_matching_oracle():
             i for i, row in enumerate(X)
             if all(lo <= v <= hi for lo, hi, v in zip(lower, upper, row))
         ]
-        assert match_set(rule, X).tolist() == expected
+        assert np.flatnonzero(match_mask(rule.lower, rule.upper, X)).tolist() == expected
+        assert np.flatnonzero(_match_matrix(rule.lower[None], rule.upper[None], X)[0]).tolist() == expected
     assert time.perf_counter() - started < 5.0
 
 

@@ -34,7 +34,7 @@ def build_pool(n_rules=6, n=80, seed=0):
     for _ in range(n_rules):
         lo = gen.uniform(-1.0, -0.1, size=2)
         hi = gen.uniform(0.1, 1.0, size=2)
-        pool.append(fit_submodel(lo, hi, X, y, fitness_params=FitnessParams()))
+        pool.extend([fit_submodel(lo, hi, X, y, fitness_params=FitnessParams())])
     return pool, X, y
 
 
@@ -83,7 +83,7 @@ class TestEvaluate:
         for _ in range(20):
             genome = gen.random(len(pool)) < 0.5
             sol = PoolEvaluator(pool, X, y).evaluate(genome, params)
-            preds = mix_predict(pool.selected(genome), X)
+            preds = mix_predict(pool[genome], X)
             mse = float(np.mean((y - preds) ** 2))
             assert sol.in_sample_mse == mse
             o1, o2 = solution_objectives(mse, int(genome.sum()), len(pool), params.beta)
@@ -164,7 +164,7 @@ class TestEvaluationCache:
             assert same_bits(cached.fitness, one_shot.fitness)
             assert same_bits(cached.in_sample_mse, one_shot.in_sample_mse)
             assert cached.complexity == one_shot.complexity == int(bit) * len(pool)
-        mse = float(np.mean((y - mix_predict(pool.selected(genome), X)) ** 2))
+        mse = float(np.mean((y - mix_predict(pool[genome], X)) ** 2))
         assert same_bits(cached.in_sample_mse, mse)
 
 
@@ -207,7 +207,7 @@ def pools_and_genomes(draw):
 def test_evaluator_predictions_equal_mix_predict_bitwise(case):
     pool, X, genome = case
     y = np.zeros(X.shape[0])
-    assert PoolEvaluator(pool, X, y).predictions(genome).tobytes() == mix_predict(pool.selected(genome), X).tobytes()
+    assert PoolEvaluator(pool, X, y).predictions(genome).tobytes() == mix_predict(pool[genome], X).tobytes()
 
 
 def reference_order(population):
@@ -459,8 +459,7 @@ class TestComposeSolution:
 
         # grow the pool, then require monotone fitness from the padded seed
         extra_pool, _, _ = build_pool(n_rules=4, seed=21)
-        for rule in extra_pool:
-            pool.append(rule)
+        pool.extend(extra_pool)
         padded = np.zeros(len(pool), dtype=bool)
         padded[: len(first.genome)] = first.genome
         seed_fitness = PoolEvaluator(pool, X, y).evaluate(padded, params).fitness
@@ -501,12 +500,12 @@ class TestComposeSolution:
         X = gen.uniform(-1, 1, size=(100, 1))
         y = 1.5 * X[:, 0] - 0.25
         pool = Pool()
-        pool.append(fit_submodel(np.array([-1.0]), np.array([1.0]), X, y, fitness_params=FitnessParams()))
+        pool.extend([fit_submodel(np.array([-1.0]), np.array([1.0]), X, y, fitness_params=FitnessParams())])
         noise = gen.permutation(y)
         for _ in range(5):
             lo = gen.uniform(-1.0, 0.0, size=1)
             hi = gen.uniform(0.0, 1.0, size=1)
-            pool.append(fit_submodel(lo, hi, X, noise, fitness_params=FitnessParams()))
+            pool.extend([fit_submodel(lo, hi, X, noise, fitness_params=FitnessParams())])
         best = compose_solution(
             pool, None, X, y, GAConfig(population_size=16, generations=10, n_elitists=4), FitnessParams(), np.random.default_rng(51)
         )

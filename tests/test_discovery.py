@@ -7,21 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rulemix.rules
 from rulemix import (
     ESConfig,
     FitnessParams,
+    Rule,
+    combine,
     discover_rules,
     evolve_rule,
     fit_submodel,
     init_interval,
     match_mask,
     mutate,
+    pseudo_accuracy,
     select_seed_example,
 )
 from rulemix import discovery
-from rulemix.discovery import _children_mse, _score_children
+from rulemix.discovery import _score_children
 from rulemix.errors import ConfigError, EmptyMatchError, NotFittedError
-from rulemix.rules import _match_matrix
+from rulemix.rules import _match_matrix, _ridge_fits, _solve_ridge
 
 
 class TestESConfig:
@@ -247,6 +251,28 @@ def generation(problem, n_children, spread):
     return lowers, uppers, X, y, ridge
 
 
+def reference_ridge_fit(lower, upper, X, y, ridge_coeff, fitness_params=None):
+    """The batched ridge fits' independent reference: one box's matched
+    rows centred on their own means, its ridge system built from the
+    centred rows and its MSE summed from the residuals of the fitted line
+    on the raw rows, as a Rule."""
+    mask = match_mask(lower, upper, X)
+    n_matched = int(np.count_nonzero(mask))
+    Xm, ym = X[mask], y[mask]
+    x_mean = np.add.reduce(Xm, axis=0) / n_matched
+    y_mean = np.add.reduce(ym) / n_matched
+    Xc = Xm - x_mean
+    gram = Xc.T @ Xc
+    gram.flat[:: Xm.shape[1] + 1] += ridge_coeff
+    coefficients = _solve_ridge(gram[None], (Xc.T @ (ym - y_mean))[None])[0]
+    intercept = float(y_mean - x_mean @ coefficients)
+    residuals = ym - (Xm @ coefficients + intercept)
+    mse = float(residuals @ residuals) / n_matched
+    volume = float(np.prod((upper - lower) / 2.0))
+    fitness = 0.0 if fitness_params is None else combine(pseudo_accuracy(mse, fitness_params.beta), volume, fitness_params.alpha)
+    return Rule(lower, upper, coefficients, intercept, mse, n_matched, volume, fitness)
+
+
 def rounding_floor(rule, X, y, ridge):
     """Absolute error that an in-sample MSE from the normal equations can
     carry: eps times the condition number of the centred Gram matrix times
@@ -263,17 +289,17 @@ def rounding_floor(rule, X, y, ridge):
 @given(es_problems(), st.integers(1, 12), CHILD_SPREADS)
 @settings(max_examples=150, deadline=None)
 def test_generation_scores_match_fit_submodel(problem, n_children, spread):
-    # fitness within 1e-12 and MSE within 1e-10 of fit_submodel's, each
-    # plus what rounding in the normal equations allows
+    # fitness within 1e-12 and MSE within 1e-10 of the centred reference
+    # fit's, each plus what rounding in the normal equations allows
     lowers, uppers, X, y, ridge = generation(problem, n_children, spread)
     params = FitnessParams()
     matched = _match_matrix(lowers, uppers, X)
     fitnesses = _score_children(lowers, uppers, X, y, ridge, params)
-    mses = _children_mse(lowers, uppers, X, y, ridge)
+    mses = _ridge_fits(lowers, uppers, X, y, ridge)[2]
     assert len(fitnesses) == mses.size == n_children
     for child in range(n_children):
         assert matched[child].tobytes() == match_mask(lowers[child], uppers[child], X).tobytes()
-        reference = fit_submodel(lowers[child], uppers[child], X, y, ridge, params)
+        reference = reference_ridge_fit(lowers[child], uppers[child], X, y, ridge, params)
         floor = rounding_floor(reference, X, y, ridge)
         assert mses[child] >= 0.0
         assert abs(mses[child] - reference.in_sample_mse) <= 1e-10 * reference.in_sample_mse + floor
@@ -286,12 +312,12 @@ def test_generation_scores_match_fit_submodel(problem, n_children, spread):
 @settings(max_examples=100, deadline=None)
 def test_chunked_generation_matches_one_chunk(problem, n_children, spread, chunk_bytes):
     lowers, uppers, X, y, ridge = generation(problem, n_children, spread)
-    with mock.patch.object(discovery, "CHUNK_BYTES", 1 << 40):
-        whole = _children_mse(lowers, uppers, X, y, ridge)
-    with mock.patch.object(discovery, "CHUNK_BYTES", chunk_bytes):
-        chunked = _children_mse(lowers, uppers, X, y, ridge)
+    with mock.patch.object(rulemix.rules, "CHUNK_BYTES", 1 << 40):
+        whole = _ridge_fits(lowers, uppers, X, y, ridge)[2]
+    with mock.patch.object(rulemix.rules, "CHUNK_BYTES", chunk_bytes):
+        chunked = _ridge_fits(lowers, uppers, X, y, ridge)[2]
     for child in range(n_children):
-        reference = fit_submodel(lowers[child], uppers[child], X, y, ridge)
+        reference = reference_ridge_fit(lowers[child], uppers[child], X, y, ridge)
         floor = rounding_floor(reference, X, y, ridge)
         assert abs(chunked[child] - whole[child]) <= 1e-10 * whole[child] + floor
 
@@ -300,12 +326,30 @@ def test_generation_over_many_chunks_matches_one_chunk():
     X, y = TestEvolveRule.toy_problem(n=2000)
     rng = np.random.default_rng(8)
     lowers, uppers = mutate(np.array([-0.2]), np.array([0.1]), 0.3, 20, rng)
-    whole = _children_mse(lowers, uppers, X, y, 0.01)
+    whole = _ridge_fits(lowers, uppers, X, y, 0.01)[2]
     # one row per chunk
-    with mock.patch.object(discovery, "CHUNK_BYTES", 1):
-        chunked = _children_mse(lowers, uppers, X, y, 0.01)
+    with mock.patch.object(rulemix.rules, "CHUNK_BYTES", 1):
+        chunked = _ridge_fits(lowers, uppers, X, y, 0.01)[2]
     assert chunked == pytest.approx(whole, rel=1e-12)
-    assert whole == pytest.approx([fit_submodel(lo, up, X, y, 0.01).in_sample_mse for lo, up in zip(lowers, uppers)], rel=1e-12)
+    assert whole == pytest.approx([reference_ridge_fit(lo, up, X, y, 0.01).in_sample_mse for lo, up in zip(lowers, uppers)], rel=1e-12)
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(es_problems(), CHILD_SPREADS)
+@settings(max_examples=150, deadline=None)
+def test_fit_submodel_is_a_generation_of_one(problem, spread):
+    """fit_submodel on a box gives, bit for bit, the fit, MSE and fitness
+    that _ridge_fits and _score_children give the one-box generation."""
+    lowers, uppers, X, y, ridge = generation(problem, 1, spread)
+    params = FitnessParams()
+    rule = fit_submodel(lowers[0], uppers[0], X, y, ridge, params)
+    coefficients, intercepts, mses, counts = _ridge_fits(lowers, uppers, X, y, ridge)
+    assert float_bits(rule.coefficients) == float_bits(coefficients[0])
+    assert float_bits([rule.intercept, rule.in_sample_mse, rule.experience]) == float_bits([intercepts[0], mses[0], counts[0]])
+    assert float_bits([rule.fitness]) == float_bits(_score_children(lowers, uppers, X, y, ridge, params))
 
 
 class TestGenerationChecks:
@@ -349,7 +393,7 @@ class TestGenerationChecks:
         uppers = np.array([[0.6, 0.1], [0.1, 0.6]])
         params = FitnessParams()
         fitnesses = _score_children(lowers, uppers, X, y, 0.01, params)
-        expected = [fit_submodel(lo, up, X, y, 0.01, params).fitness for lo, up in zip(lowers, uppers)]
+        expected = [reference_ridge_fit(lo, up, X, y, 0.01, params).fitness for lo, up in zip(lowers, uppers)]
         assert fitnesses == pytest.approx(expected, rel=1e-12)
 
 

@@ -183,10 +183,10 @@ class TestMixingBehavior:
         rule_a = Rule(lower_a, upper_a, np.zeros(1), 2.0, 0.1, 10, 0.5, 0.5)
         rule_b = Rule(lower_b, upper_b, np.zeros(1), -1.0, 0.1, 10, 0.5, 0.5)
         X = np.array([[-0.5], [0.5]])
-        out = mix_predict([rule_a, rule_b], X)
+        out = mix_predict(Pool([rule_a, rule_b]), X)
         assert out.tolist() == [2.0, -1.0]
         # at the shared boundary both rules match with equal weight
-        out_mid = mix_predict([rule_a, rule_b], np.array([[0.0]]))
+        out_mid = mix_predict(Pool([rule_a, rule_b]), np.array([[0.0]]))
         assert out_mid[0] == pytest.approx(0.5, rel=1e-12)
 
 

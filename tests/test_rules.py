@@ -16,11 +16,11 @@ from rulemix import (
     Rule,
     TrainedModel,
     TransformState,
+    combine,
     fit_submodel,
     match_mask,
-    match_set,
     mix_predict,
-    rule_fitness,
+    pseudo_accuracy,
 )
 from rulemix.errors import EmptyMatchError, NotFittedError
 from rulemix.rules import MIX_EPS
@@ -61,7 +61,7 @@ class TestMatching:
         rule = make_rule([-0.5], [0.5], [1.0])
         assert match_mask(rule.lower, rule.upper, np.array([[0.5], [0.6]])).tolist() == [True, False]
         X = np.array([[-0.9], [0.0], [0.4], [0.8]])
-        assert match_set(rule, X).tolist() == [1, 2]
+        assert np.flatnonzero(match_mask(rule.lower, rule.upper, X)).tolist() == [1, 2]
 
 
 class TestFitSubmodel:
@@ -152,7 +152,7 @@ class TestFitSubmodel:
         y = rng.normal(size=20)
         params = FitnessParams()
         rule = fit_submodel(np.array([-1.0]), np.array([1.0]), X, y, fitness_params=params)
-        assert rule.fitness == rule_fitness(rule, params)
+        assert rule.fitness == combine(pseudo_accuracy(rule.in_sample_mse, params.beta), rule.volume, params.alpha)
         plain = fit_submodel(np.array([-1.0]), np.array([1.0]), X, y)
         assert plain.fitness == 0.0
 
@@ -199,13 +199,14 @@ class TestRuleFitness:
         # mse 0.5 with beta 2 gives pseudo-accuracy exp(-1); blended with a
         # volume share of 0.25 at alpha 0.05
         rule = make_rule([-0.5], [0.0], [1.0], mse=0.5)
+        params = FitnessParams()
         assert rule.volume == 0.25
-        assert rule_fitness(rule, FitnessParams()) == 0.36744737641940006
+        assert combine(pseudo_accuracy(rule.in_sample_mse, params.beta), rule.volume, params.alpha) == 0.36744737641940006
 
     def test_non_finite_mse_raises(self):
         rule = make_rule([-0.5], [0.5], [1.0], mse=float("nan"))
-        with pytest.raises(NotFittedError):
-            rule_fitness(rule, FitnessParams())
+        with pytest.raises(ValueError):
+            pseudo_accuracy(rule.in_sample_mse, FitnessParams().beta)
 
 
 class TestPredictRule:
@@ -214,18 +215,18 @@ class TestPredictRule:
     def test_intercept_at_origin(self):
         coefficients = [2.38, 2.29, 0.68, -1.26, -0.67, 0.71, 0.60, 2.07]
         rule = make_rule(np.full(8, -1.0), np.full(8, 1.0), coefficients, intercept=3.9160)
-        assert mix_predict([rule], np.zeros((1, 8)))[0] == pytest.approx(3.9160, rel=1e-15)
+        assert mix_predict(Pool([rule]), np.zeros((1, 8)))[0] == pytest.approx(3.9160, rel=1e-15)
 
     def test_is_the_dot_product(self, rng):
         rule = make_rule(np.full(3, -1.0), np.full(3, 1.0), [1.0, -2.0, 0.5], intercept=0.25)
         x = rng.uniform(-1, 1, size=3)
         expected = 1.0 * x[0] - 2.0 * x[1] + 0.5 * x[2] + 0.25
-        assert mix_predict([rule], x[None, :])[0] == pytest.approx(expected, rel=1e-12)
+        assert mix_predict(Pool([rule]), x[None, :])[0] == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         rule = make_rule([-1.0], [1.0], [1.0])
         with pytest.raises(ValueError):
-            mix_predict([rule], np.zeros((1, 2)))
+            mix_predict(Pool([rule]), np.zeros((1, 2)))
 
 
 class TestPool:
@@ -234,7 +235,7 @@ class TestPool:
         assert len(pool) == 0
         r1 = make_rule([-1.0], [0.0], [1.0])
         r2 = make_rule([0.0], [1.0], [2.0])
-        pool.append(r1)
+        pool.extend([r1])
         pool.extend([r2])
         assert len(pool) == 2
         # the pool stores arrays, so pool[0] is an equal view, not r1 itself
@@ -244,13 +245,13 @@ class TestPool:
     def test_selected(self):
         rules = [make_rule([-1.0], [float(i) / 4], [1.0]) for i in range(4)]
         pool = Pool(rules)
-        picked = pool.selected(np.array([True, False, False, True]))
-        assert picked == [rules[0], rules[3]]
+        picked = pool[np.array([True, False, False, True])]
+        assert list(picked) == [rules[0], rules[3]]
 
     def test_selected_length_mismatch(self):
         pool = Pool([make_rule([-1.0], [1.0], [1.0])])
-        with pytest.raises(ValueError):
-            pool.selected(np.array([True, False]))
+        with pytest.raises(IndexError):
+            pool[np.array([True, False])]
 
 
 class TestMixPredict:
@@ -258,7 +259,7 @@ class TestMixPredict:
         rule = make_rule(np.full(2, -1.0), np.full(2, 1.0), [1.5, -0.5], intercept=0.1, mse=0.2)
         X = rng.uniform(-1, 1, size=(30, 2))
         expected = X @ rule.coefficients + rule.intercept
-        assert mix_predict([rule], X) == pytest.approx(expected, rel=1e-12)
+        assert mix_predict(Pool([rule]), X) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_weighted_average_oracle(self, rng):
         rules = []
@@ -276,7 +277,7 @@ class TestMixPredict:
                 )
             )
         X = rng.uniform(-1, 1, size=(40, 2))
-        got = mix_predict(rules, X)
+        got = mix_predict(Pool(rules), X)
         for i, x in enumerate(X):
             num = 0.0
             den = 0.0
@@ -291,24 +292,24 @@ class TestMixPredict:
     def test_unmatched_rows_predict_zero(self):
         rule = make_rule([0.5], [1.0], [1.0], intercept=5.0)
         X = np.array([[-0.9], [0.7]])
-        out = mix_predict([rule], X)
+        out = mix_predict(Pool([rule]), X)
         assert out[0] == 0.0
         assert out[1] != 0.0
 
     def test_lower_error_rule_dominates(self):
         sharp = make_rule([-1.0], [1.0], [0.0], intercept=1.0, mse=1e-6, experience=10)
         blunt = make_rule([-1.0], [1.0], [0.0], intercept=-1.0, mse=1.0, experience=10)
-        out = mix_predict([sharp, blunt], np.array([[0.0]]))
+        out = mix_predict(Pool([sharp, blunt]), np.array([[0.0]]))
         assert out[0] > 0.99
 
     def test_empty_rule_list_predicts_zero(self):
         X = np.array([[0.1], [0.2]])
-        assert mix_predict([], X).tolist() == [0.0, 0.0]
+        assert mix_predict(Pool(), X).tolist() == [0.0, 0.0]
 
     def test_rejects_1d_input(self):
         rule = make_rule([-1.0], [1.0], [1.0])
         with pytest.raises(ValueError):
-            mix_predict([rule], np.array([0.0, 0.1]))
+            mix_predict(Pool([rule]), np.array([0.0, 0.1]))
 
 
 def test_experience_weighting_shifts_the_mix():
@@ -316,7 +317,7 @@ def test_experience_weighting_shifts_the_mix():
     # sits at the experience-weighted average of the two outputs
     heavy = make_rule([-1.0], [1.0], [0.0], intercept=1.0, mse=0.5, experience=30)
     light = make_rule([-1.0], [1.0], [0.0], intercept=0.0, mse=0.5, experience=10)
-    out = mix_predict([heavy, light], np.array([[0.0]]))
+    out = mix_predict(Pool([heavy, light]), np.array([[0.0]]))
     assert out[0] == pytest.approx(0.75, rel=1e-12)
 
 
@@ -365,7 +366,7 @@ def test_memory_order_changes_no_bit(case, data):
         PoolEvaluator(pool, X_fortran, y).predictions(genome).tobytes()
         == PoolEvaluator(pool, X, y).predictions(genome).tobytes()
     )
-    assert mix_predict(rules, X_fortran).tobytes() == mix_predict(rules, X).tobytes()
+    assert mix_predict(pool, X_fortran).tobytes() == mix_predict(pool, X).tobytes()
 
 
 def lstsq_ridge(X: np.ndarray, y: np.ndarray, ridge_coeff: float) -> tuple[np.ndarray, float]:
@@ -403,7 +404,7 @@ def test_mixed_prediction_lies_within_the_matching_rules_outputs(case):
     rules = [fit_submodel(lower, upper, X, y, ridge_coeff) for lower, upper in boxes]
     # rows outside every box as well as the training rows
     query = np.vstack([X, np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, X.shape[1]))])
-    predictions = mix_predict(rules, query)
+    predictions = mix_predict(Pool(rules), query)
     outputs = np.array([query @ rule.coefficients + rule.intercept for rule in rules])
     matched = np.array([match_mask(rule.lower, rule.upper, query) for rule in rules])
     for i, prediction in enumerate(predictions):
@@ -482,7 +483,6 @@ def test_mixing_kernel_equals_sequential_loop_bitwise(case, chunk_bytes):
     rules, X = case
     with mock.patch.object(rulemix.rules, "CHUNK_BYTES", chunk_bytes), np.errstate(over="ignore", invalid="ignore"):
         expected = sequential_mix(rules, X)
-        assert mix_predict(rules, X).tobytes() == expected.tobytes()
         assert mix_predict(Pool(rules), X).tobytes() == expected.tobytes()
         if rules and X.shape[0]:
             evaluator = PoolEvaluator(Pool(rules), X, np.zeros(X.shape[0]))
@@ -496,7 +496,7 @@ def test_batches_longer_than_one_chunk_mix_as_one():
     gen = np.random.default_rng(5)
     rules = [make_rule(*np.sort(gen.uniform(-1.0, 1.0, size=(2, 3)), axis=0), gen.normal(size=3), gen.normal()) for _ in range(9)]
     X = gen.uniform(-1.0, 1.0, size=(10_001, 3))
-    assert mix_predict(rules, X).tobytes() == sequential_mix(rules, X).tobytes()
+    assert mix_predict(Pool(rules), X).tobytes() == sequential_mix(rules, X).tobytes()
 
 
 def test_one_row_mixes_eight_or_more_rules_in_pool_order():
@@ -520,4 +520,4 @@ def test_one_row_mixes_eight_or_more_rules_in_pool_order():
     batch = model.predict(X_raw)
     singles = np.array([model.predict(X_raw[i : i + 1])[0] for i in range(X.shape[0])])
     assert singles.tobytes() == batch.tobytes()
-    assert mix_predict(pool[genome], X).tobytes() == sequential_mix(pool.selected(genome), X).tobytes()
+    assert mix_predict(pool[genome], X).tobytes() == sequential_mix(pool[genome], X).tobytes()
