@@ -7,7 +7,7 @@ error, 3 benchmark finished but some datasets failed.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import os
 import sys
@@ -151,6 +151,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    """Predict every row of a feature CSV with a saved model. The output
+    is one `repr` line per row, with CRLF line ends and a `prediction`
+    header in an --out file, each written in one piece."""
     model = load_model(args.model)
     header, X = read_numeric_csv(args.data)
     if len(header) != model.transform.dim:
@@ -158,20 +161,15 @@ def cmd_predict(args) -> int:
     predictions = model.predict(X)
     if args.out:
         with _atomic_open(args.out, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["prediction"])
-            for value in predictions:
-                writer.writerow([repr(float(value))])
+            fh.write("prediction\r\n" + "".join(f"{value!r}\r\n" for value in predictions.tolist()))
         if args.format == "machine":
             print(json.dumps({"predictions": args.out, "n": int(predictions.shape[0])}, sort_keys=True))
         else:
             print(f"{predictions.shape[0]} predictions written to {args.out}")
+    elif args.format == "machine":
+        print(json.dumps({"predictions": predictions.tolist()}))
     else:
-        if args.format == "machine":
-            print(json.dumps({"predictions": [float(v) for v in predictions]}))
-        else:
-            for value in predictions:
-                print(repr(float(value)))
+        sys.stdout.write("".join(f"{value!r}\n" for value in predictions.tolist()))
     return EXIT_OK
 
 
@@ -305,11 +303,15 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The rulemix argument parser, built once per process: parsing
+    leaves it as it was, so main can reuse it."""
+    config_help = _config_help()
     parser = argparse.ArgumentParser(
         prog="rulemix",
         description="Regression with evolved interval rules.",
-        epilog=_config_help(),
+        epilog=config_help,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -323,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "fit",
         help="train a model on a CSV dataset",
-        epilog=_config_help(),
+        epilog=config_help,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub.add_argument("data", help="training CSV with a header row")
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "benchmark",
         help="run repeated train/test evaluations over a dataset registry",
-        epilog=_config_help(),
+        epilog=config_help,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub.add_argument("registry", help='JSON registry: {"datasets": {name: path or {"path", "target_column"?}}}')

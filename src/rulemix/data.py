@@ -9,6 +9,7 @@ mapped back to original units and new inputs into the scaled space.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -58,11 +59,38 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     """The stripped header and the data rows, as a float matrix, of a CSV
     file; training data and prediction inputs are both read here.
 
-    Blank lines are skipped. Every cell must be a finite number; a row
-    is parsed whole and only a row that fails is checked cell by cell,
-    so the error names the row and column of the first bad cell.
+    Blank lines are skipped. Every cell must be a finite number; `#` is
+    data, not a comment, and line ends may be \\n, \\r\\n or \\r. The rows
+    after the header are parsed in C by np.loadtxt, whose result is taken
+    only when it has a row, a column per header name and no non-finite
+    value. Anything else, an error included, rereads the file with the
+    row reader _read_rows, which gives the same matrix or the error
+    naming the row and column of the first bad cell, and which also
+    reads the syntax numpy does not: quoted cells, `1_0` and non-ASCII
+    digits.
     """
     path = str(path)
+    with open(path, newline="") as fh:
+        try:
+            header = [h.strip() for h in next(csv.reader(fh))]
+        except StopIteration:
+            raise DataError(f"{path}: file is empty") from None
+        # loadtxt warns on input without a data line; the row reader
+        # reports that case
+        first = next((line for line in fh if line.strip()), None)
+        if first is not None:
+            try:
+                data = np.loadtxt(itertools.chain((first,), fh), delimiter=",", comments=None, ndmin=2, dtype=float)
+            except ValueError:
+                data = None
+            if data is not None and len(data) and data.shape[1] == len(header) and np.isfinite(data).all():
+                return header, data
+    return _read_rows(path)
+
+
+def _read_rows(path: str) -> tuple[list[str], np.ndarray]:
+    """read_numeric_csv one row at a time: a row is parsed whole by
+    float() and only a row that fails is checked cell by cell."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -183,7 +211,13 @@ class TransformState:
 
 
 def fit_transform(X, y) -> tuple[TransformState, np.ndarray, np.ndarray]:
-    """Fit scaling statistics on (X, y) and return them with the scaled data."""
+    """Fit scaling statistics on (X, y) and return them with the scaled data.
+
+    Finite data whose range overflows a float fails here, naming the
+    feature or the target: a scaled value or the target standard
+    deviation that is not finite (an infinite span or mean makes scaled
+    values NaN), and a target whose standard deviation underflows to 0.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -199,19 +233,29 @@ def fit_transform(X, y) -> tuple[TransformState, np.ndarray, np.ndarray]:
     feature_max = X.max(axis=0)
     for i in np.flatnonzero(feature_max == feature_min):
         raise DegenerateFeatureError(f"feature {i} is constant (value {feature_min[i]}) and cannot be scaled")
+    if y.min() == y.max():
+        raise DegenerateTargetError(f"target is constant (value {y[0]}) and cannot be standardized")
 
-    target_mean = float(y.mean())
-    target_std = float(y.std())
-    if target_std == 0.0:
-        raise DegenerateTargetError(f"target is constant (value {target_mean}) and cannot be standardized")
-
-    state = TransformState(
-        feature_min=feature_min,
-        feature_max=feature_max,
-        target_mean=target_mean,
-        target_std=target_std,
-    )
-    return state, state.transform_features(X), state.transform_target(y)
+    # overflow is reported below as an error, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        target_mean = float(y.mean())
+        target_std = float(y.std())
+        if target_std == 0.0:
+            raise DegenerateTargetError(f"target spans {y.min()} to {y.max()}; its standard deviation underflows to 0")
+        state = TransformState(
+            feature_min=feature_min,
+            feature_max=feature_max,
+            target_mean=target_mean,
+            target_std=target_std,
+        )
+        X_scaled = state.transform_features(X)
+        y_scaled = state.transform_target(y)
+    for i in np.flatnonzero(~np.isfinite(X_scaled).all(axis=0)):
+        raise DataError(f"feature {i} spans {feature_min[i]} to {feature_max[i]}, a range that overflows a float")
+    # an infinite std scales every target to a finite 0
+    if not math.isfinite(target_std) or not np.isfinite(y_scaled).all():
+        raise DataError(f"target spans {y.min()} to {y.max()}, a range that overflows a float")
+    return state, X_scaled, y_scaled
 
 
 def monte_carlo_split(n: int, test_fraction: float = 0.25, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -79,7 +79,12 @@ def _match_matrix(lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray) -> np.n
     lies inside [lowers[i], uppers[i]] in every dimension.
 
     Built one feature column at a time, which reads a Fortran-ordered X
-    contiguously."""
+    contiguously. A single row is compared with every bound at once:
+    3 numpy calls instead of 1 + 4d, though several times slower than
+    the column loop on many rows. An empty Pool's (0, 0) bounds do not
+    broadcast against a row and take the loop."""
+    if X.shape[0] == 1 and len(lowers):
+        return ((X[0] >= lowers) & (X[0] <= uppers)).all(axis=1)[:, None]
     matched = np.ones((lowers.shape[0], X.shape[0]), dtype=bool)
     for j in range(lowers.shape[1]):
         column = X[:, j]

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 
 import rulemix.benchmark
 import rulemix.cli
-from rulemix import load_model, write_csv
+from rulemix import LearnerConfig, load_model, write_csv
 from rulemix.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
 
 from conftest import csv_cases, linear_data, matrix_dataset, replace_cell
@@ -116,6 +117,58 @@ class TestFit:
         # --set wins over the file: 2 cycles x 2 rules
         assert doc["pool_size"] == 4
 
+    @pytest.mark.parametrize(
+        "target, feature, message",
+        [
+            ("normal", "overflowing", "feature 0 spans"),
+            ("overflowing", "normal", "target spans"),
+            ("underflowing", "normal", "standard deviation underflows"),
+        ],
+    )
+    def test_range_overflowing_a_float_is_one_error_line(self, tmp_path, capsys, target, feature, message):
+        """Finite data whose span, mean, standard deviation or scaled values
+        leave the range of a float exit 1 with one error line and no
+        warning."""
+        gen = np.random.default_rng(4)
+        signs = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+        columns = {
+            "normal": gen.normal(size=12),
+            "overflowing": signs * 1e308 * gen.uniform(0.1, 1.0, size=12),
+            "underflowing": np.arange(12) * 1e-300,
+        }
+        data = tmp_path / "train.csv"
+        rows = [f"{x!r},{y!r}" for x, y in zip(columns[feature].tolist(), columns[target].tolist())]
+        data.write_text("f0,y\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", str(data), "--out", str(tmp_path / "model.json"), *SMALL_SET_FLAGS])
+        assert code == EXIT_DATA
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0], lines
+        assert caught == []
+        assert not (tmp_path / "model.json").exists()
+
+    def test_parser_built_once_keeps_no_state_between_calls(self, tmp_path, capsys):
+        """main reuses one parser: a --set and a --format of one call do not
+        reach the next."""
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_iter": 2, "es": {"lambda": 4, "delta": 2, "n_rules": 2}, "ga": {"population_size": 8, "n_elitists": 2}}))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        fit_argv = ["fit", str(data), "--config", str(config)]
+        assert main([*fit_argv, "--out", str(first), "--set", "ga.generations=2", "--format", "machine"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["model"] == str(first)
+        assert main([*fit_argv, "--out", str(second)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("trained on 60 examples")
+        assert load_model(first).config.ga.generations == 2
+        assert load_model(second).config.ga.generations == LearnerConfig().ga.generations
+        features = tmp_path / "query.csv"
+        write_feature_csv(features, np.random.default_rng(2).uniform(-2, 6, size=(3, 2)))
+        assert main(["predict", str(second), str(features)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [float(line) for line in lines] == load_model(second).predict(np.loadtxt(features, delimiter=",", skiprows=1)).tolist()
+
     def test_malformed_set_flag(self, tmp_path):
         data = tmp_path / "train.csv"
         write_training_csv(data)
@@ -149,6 +202,36 @@ class TestPredict:
         assert lines[0] == "prediction"
         values = np.array([float(line) for line in lines[1:]])
         assert np.array_equal(values, model.predict(X_query))
+
+    def test_outputs_keep_the_bytes_of_the_csv_writer_and_print(self, tmp_path, monkeypatch, capsys):
+        """--out, text stdout and machine stdout hold the bytes the earlier
+        csv.writer and print loops wrote, for -0.0, the smallest subnormal,
+        1e308, 1.0 and a value whose repr takes 17 digits."""
+        predictions = np.array([-0.0, 5e-324, 1e308, 1.0, 0.1 + 0.2])
+        features = tmp_path / "query.csv"
+        write_feature_csv(features, predictions[:, None])
+        # InputRecorder predicts the first feature column
+        monkeypatch.setattr(rulemix.cli, "load_model", lambda _: InputRecorder(1))
+        written = io.StringIO(newline="")
+        writer = csv.writer(written)
+        writer.writerow(["prediction"])
+        for value in predictions:
+            writer.writerow([repr(float(value))])
+        text, machine = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(text):
+            for value in predictions:
+                print(repr(float(value)))
+        with contextlib.redirect_stdout(machine):
+            print(json.dumps({"predictions": [float(v) for v in predictions]}))
+
+        out = tmp_path / "predictions.csv"
+        assert main(["predict", "model.json", str(features), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == written.getvalue().encode()
+        capsys.readouterr()
+        assert main(["predict", "model.json", str(features)]) == EXIT_OK
+        assert capsys.readouterr().out == text.getvalue()
+        assert main(["predict", "model.json", str(features), "--format", "machine"]) == EXIT_OK
+        assert capsys.readouterr().out == machine.getvalue()
 
     def test_wrong_column_count_is_data_error(self, model_path, tmp_path, capsys):
         features = tmp_path / "query.csv"
@@ -282,7 +365,8 @@ class TestGen:
 class TestAtomicOutputs:
     @pytest.mark.parametrize("command", ["predict", "gen"])
     def test_failed_write_keeps_the_previous_file(self, model_path, tmp_path, monkeypatch, capsys, command):
-        """A csv writer failing on its third row leaves the earlier 51-line
+        """A write failing part way, at the file for predict's one write and
+        at a csv writer's third row for gen, leaves the earlier 51-line
         output byte-identical and no temporary file behind."""
         out_dir = tmp_path / "out"
         out_dir.mkdir()
@@ -296,21 +380,32 @@ class TestAtomicOutputs:
         assert main(argv) == EXIT_OK
         before = out.read_bytes()
         assert len(before.splitlines()) == 51
-        real_writer = csv.writer
+        if command == "predict":
+            real_open = builtins.open
 
-        def writer_failing_on_third_row(fh):
-            writer = real_writer(fh)
-            rows = []
+            def open_filling_the_disk(file, mode="r", *rest, **kwargs):
+                fh = real_open(file, mode, *rest, **kwargs)
+                if "w" in mode and os.path.basename(str(file)).startswith("result.csv."):
+                    return DiskFullAfter(fh, 20)
+                return fh
 
-            def writerow(row):
-                rows.append(row)
-                if len(rows) == 3:
-                    raise OSError("disk full")
-                writer.writerow(row)
+            monkeypatch.setattr(builtins, "open", open_filling_the_disk)
+        else:
+            real_writer = csv.writer
 
-            return SimpleNamespace(writerow=writerow)
+            def writer_failing_on_third_row(fh):
+                writer = real_writer(fh)
+                rows = []
 
-        monkeypatch.setattr(csv, "writer", writer_failing_on_third_row)
+                def writerow(row):
+                    rows.append(row)
+                    if len(rows) == 3:
+                        raise OSError("disk full")
+                    writer.writerow(row)
+
+                return SimpleNamespace(writerow=writerow)
+
+            monkeypatch.setattr(csv, "writer", writer_failing_on_third_row)
         code = main(argv)
         monkeypatch.undo()
         assert code == EXIT_DATA

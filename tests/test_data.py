@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulemix import (
     Dataset,
@@ -10,6 +13,7 @@ from rulemix import (
     monte_carlo_split,
     write_csv,
 )
+from rulemix.data import _read_rows, read_numeric_csv
 from rulemix.errors import DataError, DegenerateFeatureError, DegenerateTargetError
 
 from conftest import csv_cases, matrix_dataset, replace_cell
@@ -26,6 +30,76 @@ def test_load_csv_reads_write_csv_bit_for_bit_and_names_a_bad_cell(tmp_path_fact
     replace_cell(path, row, column, bad)
     with pytest.raises(DataError, match=f"at row {row + 2}, column 'c{column}'"):
         load_csv(path)
+
+
+# Cells numpy and the row reader may read differently: comment marks,
+# quotes, underscores, hex, a full-width digit, overflow, non-finite
+# names and empty or blank cells.
+HAZARDS = ("#", "#1", '"3"', "1_0", "0x10", "\uff11", "1e400", "nan", "Infinity", "", "  ")
+EXTREMES = ("5e-324", "1.7976931348623157e308", "-1.7976931348623157e308")
+decimals = st.builds(
+    lambda sign, digits, point, exponent: sign + digits[:point] + "." + digits[point:] + exponent,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=40),
+    st.integers(0, 40),
+    st.sampled_from(["", "e5", "E-7", "e+300", "e-330"]),
+)
+cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    decimals,
+    st.sampled_from(EXTREMES),
+    st.sampled_from(HAZARDS),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """The text of a CSV file: 1-4 header columns and 0-6 lines of rows,
+    ragged rows, trailing commas and blank, whitespace-only or comma-only
+    lines, each line ended by \\n, \\r\\n or \\r, the last one maybe not;
+    or an empty file."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    width = draw(st.integers(1, 4))
+    lines = [",".join("abcd"[:width])]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", ",", "# 3,4"])))
+            continue
+        row = draw(st.lists(cells, min_size=width, max_size=width))
+        if kind == 1:
+            row = row[: draw(st.integers(1, width))] + draw(st.lists(cells, max_size=1))
+        elif kind == 2:
+            row.append("")
+        lines.append(",".join(row))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def read_outcome(read, path):
+    """(header, matrix bytes, shape) of a read, or the DataError's message."""
+    try:
+        header, data = read(path)
+    except DataError as exc:
+        return str(exc)
+    return header, data.tobytes(), data.shape
+
+
+@settings(max_examples=1000, deadline=None)
+@given(csv_texts())
+def test_fast_reader_equals_row_reader(tmp_path_factory, text):
+    """read_numeric_csv, numpy first, returns the header and matrix of
+    the row reader, or raises its DataError, and warns of nothing."""
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = read_outcome(read_numeric_csv, path)
+    assert caught == []
+    assert outcome == read_outcome(_read_rows, str(path))
 
 
 class TestLoadCsv:

@@ -29,7 +29,7 @@ from rulemix import (
 )
 from rulemix.benchmark import BenchmarkReport, RunRecord, write_records_csv
 from rulemix.cli import EXIT_DATA, main
-from rulemix.errors import ModelFormatError, ModelVersionError
+from rulemix.errors import DataError, ModelFormatError, ModelVersionError
 from rulemix.persistence import FORMAT_VERSION, document_to_model
 
 from conftest import linear_data, small_config
@@ -432,3 +432,37 @@ def test_a_bad_value_in_any_one_rule_fails_closed(trained, tmp_path_factory, dat
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         assert main(["predict", str(path), str(features)]) == EXIT_DATA
     assert f"pool[{index}]" in stderr.getvalue()
+
+
+@st.composite
+def finite_data_of_any_magnitude(draw):
+    """A small regression set whose features and target are each scaled
+    by a power of ten from 1e-320 to 1e308 and shifted by 0 or a power of
+    ten up to 1e307 in either direction: finite, but possibly beyond what
+    a float can scale."""
+    n, d = draw(st.integers(2, 20)), draw(st.integers(1, 2))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = st.integers(-320, 308).map(lambda e: 10.0**e)
+    shift = st.integers(-320, 307).map(lambda e: 10.0**e)
+    offset = st.one_of(st.just(0.0), shift, shift.map(lambda m: -m))
+    X = gen.uniform(-1.0, 1.0, size=(n, d)) * draw(magnitude) + draw(offset)
+    y = gen.uniform(-1.0, 1.0, size=n) * draw(magnitude) + draw(offset)
+    return X, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_data_of_any_magnitude())
+def test_finite_data_of_any_magnitude_fails_closed_or_serves_finite(tmp_path_factory, case):
+    """fit either raises DataError or gives a model whose saved and
+    loaded copy predicts the training rows finitely, as the model does."""
+    X, y = case
+    assert np.isfinite(X).all() and np.isfinite(y).all()
+    try:
+        model = fit(X, y, small_config(master_seed=3))
+    except DataError:
+        return
+    path = tmp_path_factory.mktemp("magnitude") / "model.json"
+    save_model(model, path)
+    predictions = load_model(path).predict(X)
+    assert np.isfinite(predictions).all()
+    assert predictions.tobytes() == model.predict(X).tobytes()

@@ -23,7 +23,7 @@ from rulemix import (
     pseudo_accuracy,
 )
 from rulemix.errors import EmptyMatchError, NotFittedError
-from rulemix.rules import MIX_EPS
+from rulemix.rules import MIX_EPS, _match_matrix
 
 
 def make_rule(lower, upper, coefficients, intercept=0.0, mse=0.1, experience=5):
@@ -488,6 +488,24 @@ def test_mixing_kernel_equals_sequential_loop_bitwise(case, chunk_bytes):
             evaluator = PoolEvaluator(Pool(rules), X, np.zeros(X.shape[0]))
             assert evaluator.predictions(np.ones(len(rules), dtype=bool)).tobytes() == expected.tobytes()
             assert not evaluator.predictions(np.zeros(len(rules), dtype=bool)).any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pools_over_queries())
+def test_one_row_matches_and_mixes_as_in_a_batch(case):
+    """A row taken alone, through _match_matrix's one-row broadcast,
+    matches the rules of its column in the batch match matrix and mixes
+    to the bits of the per-rule loop, on-bound, 1e308, infinite and NaN
+    rows and empty pools included."""
+    rules, X = case
+    pool = Pool(rules)
+    # two or more rows take the column loop
+    batch = _match_matrix(pool.lowers, pool.uppers, np.repeat(X, 2, axis=0))[:, ::2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(X.shape[0]):
+            row = X[i : i + 1]
+            assert _match_matrix(pool.lowers, pool.uppers, row).tolist() == batch[:, i : i + 1].tolist()
+            assert mix_predict(pool, row).tobytes() == sequential_mix(rules, row).tobytes()
 
 
 def test_batches_longer_than_one_chunk_mix_as_one():
