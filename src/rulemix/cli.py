@@ -12,13 +12,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
 from .benchmark import BenchmarkReport, format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
 from .data import Dataset, _atomic_open, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
 from .describe import describe_model, describe_rule
-from .errors import ConfigError, DataError, ModelFormatError
-from .learner import LearnerConfig, config_from_dict, config_to_dict, fit
+from .errors import (
+    NON_NEGATIVE, OPEN_FRACTION, POSITIVE_INT, SAMPLE_COUNT, SEED, ConfigError, DataError, ModelFormatError, check, check_settings, setting
+)
+from .learner import LearnerConfig, _section_from_dict, config_from_dict, config_to_dict, fit
 from .persistence import load_model, model_document, save_model
 
 EXIT_OK = 0
@@ -26,7 +28,14 @@ EXIT_DATA = 1
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
-BENCHMARK_DEFAULTS = {"n_seeds": 8, "n_splits": 8, "test_fraction": 0.25}
+
+@dataclass(frozen=True)
+class BenchmarkSettings:
+    """The benchmark-only keys, set under benchmark. in the config."""
+    n_seeds: int = setting(8, POSITIVE_INT)
+    n_splits: int = setting(8, POSITIVE_INT)
+    test_fraction: float = setting(0.25, OPEN_FRACTION)
+    __post_init__ = check_settings
 
 
 def _flatten(tree: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -48,8 +57,8 @@ def _config_help() -> str:
         lines.append(f"  {key:<34} default {json.dumps(default)}")
     lines.append("")
     lines.append("benchmark-only keys (--set benchmark.<key>=value):")
-    for key, default in BENCHMARK_DEFAULTS.items():
-        lines.append(f"  benchmark.{key:<24} default {json.dumps(default)}")
+    for field in fields(BenchmarkSettings):
+        lines.append(f"  benchmark.{field.name:<24} default {json.dumps(field.default)}")
     return "\n".join(lines)
 
 
@@ -74,18 +83,16 @@ def _apply_set(tree: dict, parts: list[str], value: object, assignment: str) -> 
     node[parts[-1]] = value
 
 
-def _load_config_tree(args) -> tuple[dict, dict]:
-    """The merged config tree: JSON file first, then --set overrides.
-
-    Returns (learner_tree, benchmark_tree); benchmark keys are split off
-    so the learner schema stays strict.
-    """
+def _learner_config(args) -> tuple[LearnerConfig, BenchmarkSettings]:
+    """The config of a run: JSON file first, then --set overrides, then
+    --seed; the benchmark section is split off so the learner schema
+    stays strict."""
     tree: dict = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
                 tree = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -94,29 +101,10 @@ def _load_config_tree(args) -> tuple[dict, dict]:
     for assignment in getattr(args, "set", None) or []:
         parts, value = _parse_set(assignment)
         _apply_set(tree, parts, value, assignment)
-    benchmark_tree = tree.pop("benchmark", {})
-    if not isinstance(benchmark_tree, dict):
-        raise ConfigError("benchmark section must be a mapping")
-    unknown = sorted(set(benchmark_tree) - set(BENCHMARK_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown benchmark key {unknown[0]!r}")
-    return tree, benchmark_tree
-
-
-def _learner_config(args) -> tuple[LearnerConfig, dict]:
-    learner_tree, benchmark_tree = _load_config_tree(args)
-    config = config_from_dict(learner_tree)
+    settings = _section_from_dict(BenchmarkSettings, "benchmark", tree.pop("benchmark", {}), BenchmarkSettings())
+    config = config_from_dict(tree)
     if getattr(args, "seed", None) is not None:
         config = replace(config, master_seed=args.seed)
-    settings = dict(BENCHMARK_DEFAULTS)
-    settings.update(benchmark_tree)
-    for key in ("n_seeds", "n_splits"):
-        value = settings[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(f"benchmark.{key} must be a positive integer, got {value!r}")
-    fraction = settings["test_fraction"]
-    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0.0 < fraction < 1.0:
-        raise ConfigError(f"benchmark.test_fraction must lie strictly between 0 and 1, got {fraction!r}")
     return config, settings
 
 
@@ -182,7 +170,7 @@ def _load_registry(path: str) -> list[dict]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("datasets"), dict):
         raise ConfigError(f"{path}: registry must be a JSON object with a 'datasets' mapping")
@@ -205,8 +193,7 @@ def _load_registry(path: str) -> list[dict]:
 
 
 def cmd_benchmark(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be positive, got {args.jobs}")
+    check("--jobs", args.jobs, POSITIVE_INT)
     config, settings = _learner_config(args)
     entries = _load_registry(args.registry)
 
@@ -215,7 +202,7 @@ def cmd_benchmark(args) -> int:
     for entry in entries:
         try:
             datasets.append(load_csv(entry["path"], target_column=entry["target_column"], name=entry["name"]))
-        except (DataError, OSError) as exc:
+        except (ValueError, OSError) as exc:  # a DataError, or open() refusing a path with a NUL byte
             failures[entry["name"]] = str(exc)
 
     master_seed = args.seed if args.seed is not None else 0
@@ -224,9 +211,9 @@ def cmd_benchmark(args) -> int:
         report = run_benchmark(
             datasets,
             config,
-            n_seeds=settings["n_seeds"],
-            n_splits=settings["n_splits"],
-            test_fraction=settings["test_fraction"],
+            n_seeds=settings.n_seeds,
+            n_splits=settings.n_splits,
+            test_fraction=settings.test_fraction,
             master_seed=master_seed,
             jobs=args.jobs,
         )
@@ -234,9 +221,9 @@ def cmd_benchmark(args) -> int:
         # every dataset failed to load; report that instead of crashing
         report = BenchmarkReport(
             master_seed=master_seed,
-            n_seeds=settings["n_seeds"],
-            n_splits=settings["n_splits"],
-            test_fraction=settings["test_fraction"],
+            n_seeds=settings.n_seeds,
+            n_splits=settings.n_splits,
+            test_fraction=settings.test_fraction,
             config=config,
             dataset_names=[],
             records=[],
@@ -294,7 +281,11 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    dataset = gen_piecewise_linear(args.n, args.segments, noise_std=args.noise_std, seed=args.seed if args.seed is not None else 0)
+    check("--n", args.n, SAMPLE_COUNT)
+    check("--segments", args.segments, POSITIVE_INT)
+    check("--noise-std", args.noise_std, NON_NEGATIVE)
+    check("--seed", args.seed, SEED)
+    dataset = gen_piecewise_linear(args.n, args.segments, noise_std=args.noise_std, seed=args.seed)
     write_csv(dataset, args.out)
     if args.format == "machine":
         print(json.dumps({"path": args.out, "n": dataset.n, "metadata": dataset.metadata}, sort_keys=True))
@@ -364,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, default=1000, help="number of rows")
     sub.add_argument("--segments", type=int, default=3, help="linear segments")
     sub.add_argument("--noise-std", type=float, default=0.0, dest="noise_std", help="additive noise std")
-    sub.add_argument("--seed", type=int, help="generator seed")
+    sub.add_argument("--seed", type=int, default=0, help="generator seed")
     sub.add_argument("--format", choices=("text", "machine"), default="text", help="output format")
     sub.set_defaults(handler=cmd_gen)
 

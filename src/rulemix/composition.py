@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import OPTIONAL_PROBABILITY, POSITIVE_INT, PROBABILITY, ConfigError, check_settings, setting
 from .fitness import FitnessParams, combine, solution_objectives
 # match_mask stays a module attribute here: perfbench's tracer patches it
 from .rules import Pool, _mix_terms, _readonly, match_mask, mix_ratio  # noqa: F401
@@ -40,33 +40,22 @@ class SolutionIndividual:
 class GAConfig:
     """Settings of one rule-subset search."""
 
-    population_size: int = 32
-    generations: int = 32
-    n_elitists: int = 6
-    tournament_size: int = 3
-    crossover_points: int = 3
-    crossover_probability: float = 0.9
-    mutation_rate: float | None = None
+    population_size: int = setting(32, POSITIVE_INT)
+    generations: int = setting(32, POSITIVE_INT)
+    n_elitists: int = setting(6, POSITIVE_INT)
+    tournament_size: int = setting(3, POSITIVE_INT)
+    crossover_points: int = setting(3, POSITIVE_INT)
+    crossover_probability: float = setting(0.9, PROBABILITY)
+    mutation_rate: float | None = setting(None, OPTIONAL_PROBABILITY)
     """Per-bit flip probability; None means 1 / pool size."""
 
-    init_density: float = 0.5
+    init_density: float = setting(0.5, PROBABILITY)
     """Probability of a 1 bit in each random initial genome."""
 
     def __post_init__(self):
-        for name in ("population_size", "generations", "n_elitists", "tournament_size", "crossover_points"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        check_settings(self)
         if self.n_elitists >= self.population_size:
-            raise ConfigError(
-                f"n_elitists must be smaller than population_size, got {self.n_elitists} >= {self.population_size}"
-            )
-        if not 0.0 <= self.crossover_probability <= 1.0:
-            raise ConfigError(f"crossover_probability must lie in [0, 1], got {self.crossover_probability}")
-        if self.mutation_rate is not None and not 0.0 <= self.mutation_rate <= 1.0:
-            raise ConfigError(f"mutation_rate must lie in [0, 1], got {self.mutation_rate}")
-        if not 0.0 <= self.init_density <= 1.0:
-            raise ConfigError(f"init_density must lie in [0, 1], got {self.init_density}")
+            raise ConfigError(f"n_elitists must be smaller than population_size, got {self.n_elitists} >= {self.population_size}")
 
 
 class PoolEvaluator:

@@ -71,13 +71,13 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     """
     path = str(path)
     with open(path, newline="") as fh:
+        # loadtxt warns on input without a data line; the row reader
+        # reports that case, an empty file, and text it cannot decode
         try:
             header = [h.strip() for h in next(csv.reader(fh))]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        # loadtxt warns on input without a data line; the row reader
-        # reports that case
-        first = next((line for line in fh if line.strip()), None)
+            first = next((line for line in fh if line.strip()), None)
+        except (StopIteration, UnicodeDecodeError, csv.Error):
+            first = None
         if first is not None:
             try:
                 data = np.loadtxt(itertools.chain((first,), fh), delimiter=",", comments=None, ndmin=2, dtype=float)
@@ -91,26 +91,29 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
 def _read_rows(path: str) -> tuple[list[str], np.ndarray]:
     """read_numeric_csv one row at a time: a row is parsed whole by
     float() and only a row that fails is checked cell by cell."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and row[0].strip() == ""):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}")
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                values = [float(cell) for cell in row]
-                valid = all(map(math.isfinite, values))
-            except ValueError:
-                valid = False
-            if not valid:
-                _reject_row(path, line_no, header, row)
-            rows.append(values)
+                header = [h.strip() for h in next(reader)]
+            except StopIteration:
+                raise DataError(f"{path}: file is empty") from None
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and row[0].strip() == ""):
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}")
+                try:
+                    values = [float(cell) for cell in row]
+                    valid = all(map(math.isfinite, values))
+                except ValueError:
+                    valid = False
+                if not valid:
+                    _reject_row(path, line_no, header, row)
+                rows.append(values)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV text ({exc})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, np.array(rows, dtype=float)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import POSITIVE, POSITIVE_INT, check_settings, setting
 from .fitness import FitnessParams
 from .rng import spawn_rng
 from .rules import Rule, _check_bounds, _fitness, _ridge_fits, _volume, fit_submodel
@@ -33,30 +33,22 @@ from .rules import Rule, _check_bounds, _fitness, _ridge_fits, _volume, fit_subm
 class ESConfig:
     """Settings of one rule-discovery cycle."""
 
-    lambda_: int = 20
+    lambda_: int = setting(20, POSITIVE_INT)
     """Children drafted per generation."""
 
-    delta: int = 8
+    delta: int = setting(8, POSITIVE_INT)
     """Consecutive stale generations before a run stops."""
 
-    n_rules: int = 4
+    n_rules: int = setting(4, POSITIVE_INT)
     """Independent ES runs (and so new rules) per cycle."""
 
-    mutation_spread: float = 0.1
+    mutation_spread: float = setting(0.1, POSITIVE)
     """Scale of the half-normal bound expansions during mutation."""
 
-    init_spread: float = 0.05
+    init_spread: float = setting(0.05, POSITIVE)
     """Scale of the half-normal half-widths of the initial interval."""
 
-    def __post_init__(self):
-        for name in ("lambda_", "delta", "n_rules"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("mutation_spread", "init_spread"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
+    __post_init__ = check_settings
 
 
 def select_seed_example(errors, rng: np.random.Generator) -> int:

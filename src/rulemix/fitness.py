@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import POSITIVE, check_settings, setting
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,10 @@ class FitnessParams:
     squashing, with larger beta punishing error harder.
     """
 
-    alpha: float = 0.05
-    beta: float = 2.0
+    alpha: float = setting(0.05, POSITIVE)
+    beta: float = setting(2.0, POSITIVE)
 
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
+    __post_init__ = check_settings
 
 
 def pseudo_accuracy(mse: float, beta: float) -> float:

@@ -9,7 +9,7 @@ is unchanged, and its parsimony objective rises with the pool size.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .composition import GAConfig, SolutionIndividual, compose_solution
 from .data import TransformState, fit_transform
 from .discovery import ESConfig, discover_rules
-from .errors import ConfigError
+from .errors import NON_NEGATIVE, POSITIVE_INT, SEED, ConfigError, check_settings, setting
 from .fitness import FitnessParams
 from .rng import spawn_rng
 from .rules import Pool, mix_predict
@@ -27,13 +27,13 @@ from .rules import Pool, mix_predict
 class LearnerConfig:
     """Everything a training run depends on besides the data."""
 
-    n_iter: int = 32
+    n_iter: int = setting(32, POSITIVE_INT)
     """Learning cycles; each adds es.n_rules rules to the pool."""
 
-    ridge_coeff: float = 0.01
+    ridge_coeff: float = setting(0.01, NON_NEGATIVE)
     """Ridge penalty of every rule's linear submodel."""
 
-    master_seed: int = 0
+    master_seed: int = setting(0, SEED)
     """Root of all random streams of the run."""
 
     es: ESConfig = field(default_factory=ESConfig)
@@ -41,13 +41,7 @@ class LearnerConfig:
     rule_fitness: FitnessParams = field(default_factory=FitnessParams)
     solution_fitness: FitnessParams = field(default_factory=FitnessParams)
 
-    def __post_init__(self):
-        if not isinstance(self.n_iter, (int, np.integer)) or isinstance(self.n_iter, bool) or self.n_iter < 1:
-            raise ConfigError(f"n_iter must be a positive integer, got {self.n_iter!r}")
-        if not self.ridge_coeff >= 0:
-            raise ConfigError(f"ridge_coeff must be non-negative, got {self.ridge_coeff!r}")
-        if not isinstance(self.master_seed, (int, np.integer)) or isinstance(self.master_seed, bool) or not 0 <= self.master_seed < 2**64:
-            raise ConfigError(f"master_seed must be an integer in [0, 2**64), got {self.master_seed!r}")
+    __post_init__ = check_settings
 
 
 def config_to_dict(config: LearnerConfig) -> dict:
@@ -64,39 +58,31 @@ def _section_from_dict(cls, section_name: str, values: dict, base):
     values = dict(values)
     if section_name == "es" and "lambda" in values:
         values["lambda_"] = values.pop("lambda")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(values) - known)
+    unknown = sorted(values.keys() - cls.__dataclass_fields__.keys())
     if unknown:
         raise ConfigError(f"unknown {section_name} key {unknown[0]!r}")
-    return replace(base, **values)
+    try:
+        return replace(base, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"{section_name}.{exc}") from None
 
 
-def config_from_dict(doc: dict, base: LearnerConfig | None = None) -> LearnerConfig:
+def config_from_dict(doc: dict, base: LearnerConfig = LearnerConfig()) -> LearnerConfig:
     """Build a LearnerConfig from nested dicts, overriding base defaults.
 
     Keys may be given partially; unknown keys raise ConfigError.
     """
-    if base is None:
-        base = LearnerConfig()
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a mapping, got {type(doc).__name__}")
     doc = dict(doc)
-    sections = {
-        "es": (ESConfig, base.es),
-        "ga": (GAConfig, base.ga),
-        "rule_fitness": (FitnessParams, base.rule_fitness),
-        "solution_fitness": (FitnessParams, base.solution_fitness),
-    }
-    updates = {}
-    for name, (cls, section_base) in sections.items():
+    for name in ("es", "ga", "rule_fitness", "solution_fitness"):
         if name in doc:
-            updates[name] = _section_from_dict(cls, name, doc.pop(name), section_base)
-    top_known = {"n_iter", "ridge_coeff", "master_seed"}
-    unknown = sorted(set(doc) - top_known)
+            section = getattr(base, name)
+            doc[name] = _section_from_dict(type(section), name, doc[name], section)
+    unknown = sorted(doc.keys() - LearnerConfig.__dataclass_fields__.keys())
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    updates.update(doc)
-    return replace(base, **updates)
+    return replace(base, **doc)
 
 
 @dataclass

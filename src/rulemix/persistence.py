@@ -195,7 +195,7 @@ def load_model(path) -> TrainedModel:
     with open(str(path)) as fh:
         try:
             doc = json.load(fh, parse_constant=note_constant)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not constants:
         return document_to_model(doc)

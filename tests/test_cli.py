@@ -1,20 +1,26 @@
 import builtins
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
+import pathlib
+import tempfile
 import warnings
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 import rulemix.benchmark
 import rulemix.cli
 from rulemix import LearnerConfig, load_model, write_csv
-from rulemix.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, main
+from rulemix.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, BenchmarkSettings, main
+from rulemix.learner import config_to_dict
 
 from conftest import csv_cases, linear_data, matrix_dataset, replace_cell
 
@@ -546,6 +552,9 @@ class TestBenchmark:
         registry = self.registry_for(tmp_path, names=("one",))
         args = ["benchmark", str(registry), "--out", str(tmp_path / "b"), "--set", "benchmark.n_seeds=0"]
         assert main(args) == EXIT_CONFIG
+        for bad in ("true", '"0.5"', "1e400", "NaN"):
+            assert main([*args[:-1], f"benchmark.test_fraction={bad}"]) == EXIT_CONFIG
+            assert main([*args[:-1], f"benchmark.n_splits={bad}"]) == EXIT_CONFIG
 
     def test_unknown_benchmark_key_is_config_error(self, tmp_path):
         registry = self.registry_for(tmp_path, names=("one",))
@@ -574,3 +583,151 @@ class TestHelp:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code != 0
+
+
+# -- every subcommand fails closed -------------------------------------------
+
+TINY_SET_FLAGS = [
+    "--set", "n_iter=1",
+    "--set", "es.n_rules=1",
+    "--set", "ga.generations=1",
+    "--set", "ga.population_size=4",
+    "--set", "ga.n_elitists=1",
+]
+# the files each subcommand reads, and the flags every call of it starts with
+READS = {"fit": ["train.csv"], "benchmark": ["registry.json"], "predict": ["model.json", "query.csv"], "inspect": ["model.json"]}
+BASE_FLAGS = {"fit": TINY_SET_FLAGS, "benchmark": TINY_SET_FLAGS + ["--set", "benchmark.n_seeds=1", "--set", "benchmark.n_splits=1"]}
+CONFIG_KEYS = [key for key, _ in rulemix.cli._flatten(config_to_dict(LearnerConfig()))] + ["bogus", "es.bogus"]
+SET_KEYS = st.sampled_from(
+    CONFIG_KEYS + [f"benchmark.{f.name}" for f in fields(BenchmarkSettings)] + ["es", "n_iter.x", "benchmark", "benchmark.bogus"]
+)
+SET_VALUES = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(-3, 3).map(repr),
+    st.sampled_from(["true", "null", "nan", "NaN", "inf", "-Infinity", "1e400", "-1e400", "5e-324", '"0.5"', "[1]", '{"a": 1}', ""]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3), st.text(max_size=3), st.lists(st.integers(-3, 3), max_size=2)
+)
+VALID = "valid"
+# three draws in four give the working file, so that many calls get as far as a fit
+FILE = st.sampled_from([VALID, VALID, VALID, None]).flatmap(lambda c: st.binary(max_size=48) if c is None else st.just(c))
+
+
+@functools.cache
+def valid_files() -> dict[str, bytes]:
+    """A training CSV, a query CSV and a model fitted on the training CSV."""
+    with tempfile.TemporaryDirectory() as work:
+        train = os.path.join(work, "train.csv")
+        write_training_csv(pathlib.Path(train), n=40, d=1)
+        model = os.path.join(work, "model.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fit", train, "--out", model, *TINY_SET_FLAGS]) == EXIT_OK
+        files = {name: pathlib.Path(work, name).read_bytes() for name in ("train.csv", "model.json")}
+    files["query.csv"] = b"f0\n0.5\n2.0\n"
+    files["config.json"] = b"{}"
+    return files
+
+
+def write_files(work: str, files: dict) -> None:
+    """Write each file of a cli_calls draw into work; see cli_calls."""
+    for name, content in files.items():
+        if content == VALID and name == "registry.json":
+            content = json.dumps({"datasets": {"d": os.path.join(work, "train.csv")}}).encode()
+        elif content == VALID:
+            content = valid_files()[name]
+        elif isinstance(content, tuple):
+            doc = json.loads(valid_files()["model.json"])
+            *sections, key = content[0].split(".")
+            node = doc["config"]
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = content[1]
+            content = json.dumps(doc).encode()
+        pathlib.Path(work, name).write_bytes(content)
+
+
+@st.composite
+def cli_calls(draw):
+    """One call of each subcommand on drawn files and settings:
+    (argv, files, expected exit code or None). argv names each file it
+    reads by its key in files, whose value is the bytes to write, VALID
+    for a working file, or, for a model, a (config key, JSON value) pair
+    to set in the valid model's config."""
+    command = draw(st.sampled_from(["fit", "predict", "benchmark", "inspect", "gen"]))
+    files, argv = {}, [command]
+    if command == "gen":
+        for flag, value in (("--n", st.integers(-3, 3)), ("--segments", st.integers(-3, 3)), ("--seed", st.integers(-3, 3))):
+            argv += [flag, str(draw(value))]
+        return argv + ["--noise-std", draw(st.sampled_from(["0", "0.5", "-1", "nan", "inf", "1e400"])), "--out", "out"], files, None
+    if command in ("fit", "benchmark"):
+        files["train.csv"] = draw(FILE)
+        sets = draw(st.lists(st.tuples(SET_KEYS, SET_VALUES), max_size=2))
+        argv += READS[command] + BASE_FLAGS[command]
+        argv += [arg for key, raw in sets for arg in ("--set", f"{key}={raw}")] + ["--out", "out"]
+        if command == "benchmark":
+            files["registry.json"] = draw(FILE)
+        if draw(st.booleans()):
+            files["config.json"] = draw(FILE)
+            argv += ["--config", "config.json"]
+        return argv, files, None
+    files["model.json"] = draw(st.one_of(FILE, st.tuples(st.sampled_from(CONFIG_KEYS), JSON_VALUES)))
+    if command == "inspect":
+        rule = ["--rule", str(draw(st.integers(-3, 3)))] if draw(st.booleans()) else []
+        return argv + READS[command] + rule, files, None
+    files["query.csv"] = draw(FILE)
+    return argv + READS[command], files, None
+
+
+def probe(command, *args, expected, **files):
+    """A named example of cli_calls that must exit with the expected
+    code; a file's keyword is its name with "_" for "." (train_csv)."""
+    argv = [command, *READS.get(command, []), *BASE_FLAGS.get(command, []), *args]
+    if command in ("fit", "benchmark", "gen"):
+        argv += ["--out", "out"]
+    return example((argv, {name.replace("_", "."): content for name, content in files.items()}, expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_calls())
+@probe("fit", "--set", 'ga.mutation_rate="0.5"', train_csv=VALID, expected=EXIT_CONFIG).via("mutation_rate string")
+@probe("fit", "--set", "rule_fitness.beta=nan", train_csv=VALID, expected=EXIT_CONFIG).via("beta nan, kept as a string")
+@probe("fit", "--set", "n_iter=[1]", train_csv=VALID, expected=EXIT_CONFIG).via("n_iter list")
+@probe("fit", "--set", "ridge_coeff=true", train_csv=VALID, expected=EXIT_CONFIG).via("ridge_coeff true")
+@probe("fit", "--set", "ga.init_density=true", train_csv=VALID, expected=EXIT_CONFIG).via("init_density true")
+@probe("fit", "--set", "rule_fitness.alpha=1e400", train_csv=VALID, expected=EXIT_CONFIG).via("rule alpha inf")
+@probe("fit", "--set", "solution_fitness.alpha=1e400", train_csv=VALID, expected=EXIT_CONFIG).via("solution alpha inf")
+@probe("benchmark", "--set", "benchmark.test_fraction=true", train_csv=VALID, registry_json=VALID, expected=EXIT_CONFIG).via(
+    "test_fraction true"
+)
+@probe("predict", model_json=("rule_fitness.alpha", "x"), query_csv=VALID, expected=EXIT_DATA).via("model config alpha x")
+@probe("fit", train_csv=b"f0,y\n1,2\n3,\xff\n", expected=EXIT_DATA).via("fit on byte 0xff")
+@probe("benchmark", train_csv=b"f0,y\n1,2\n3,\xff\n", registry_json=VALID, expected=EXIT_DATA).via("benchmark on byte 0xff")
+@probe("predict", model_json=VALID, query_csv=b"f0\n\xff\n", expected=EXIT_DATA).via("predict on byte 0xff")
+@probe("predict", model_json=b'{"\xff": 1}', query_csv=VALID, expected=EXIT_DATA).via("model with byte 0xff")
+@probe("fit", "--config", "config.json", train_csv=VALID, config_json=b"\xff", expected=EXIT_CONFIG).via("config with byte 0xff")
+@probe("benchmark", train_csv=VALID, registry_json=b"\xff", expected=EXIT_CONFIG).via("registry with byte 0xff")
+@probe("predict", model_json=b"[" * 100_000, query_csv=VALID, expected=EXIT_DATA).via("predict on deep nesting")
+@probe("inspect", model_json=b"[" * 100_000, expected=EXIT_DATA).via("inspect on deep nesting")
+@probe("fit", "--config", "config.json", train_csv=VALID, config_json=b"[" * 100_000, expected=EXIT_CONFIG).via("deep config")
+@probe("benchmark", train_csv=VALID, registry_json=b"[" * 100_000, expected=EXIT_CONFIG).via("deep registry")
+@probe("benchmark", registry_json=b'{"datasets": {"d": "a\\u0000b"}}', expected=EXIT_DATA).via("registry path with a NUL byte")
+@probe("gen", "--n", "0", expected=EXIT_CONFIG).via("gen --n 0")
+@probe("gen", "--segments", "0", expected=EXIT_CONFIG).via("gen --segments 0")
+@probe("gen", "--noise-std", "inf", expected=EXIT_CONFIG).via("gen --noise-std inf")
+@probe("gen", "--noise-std", "nan", expected=EXIT_CONFIG).via("gen --noise-std nan")
+def test_every_subcommand_fails_closed(call):
+    """Whatever the files and settings, a subcommand exits 0-3 and writes
+    to stderr nothing or one error line, never a traceback."""
+    argv, files, expected = call
+    with tempfile.TemporaryDirectory() as work:
+        write_files(work, files)
+        argv = [os.path.join(work, arg) if arg in files or arg == "out" else arg for arg in argv]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    lines = stderr.getvalue().splitlines()
+    event(f"{argv[0]} exit {code}")
+    assert code in ({EXIT_OK, EXIT_DATA, EXIT_CONFIG, EXIT_PARTIAL} if expected is None else {expected})
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")), lines

@@ -73,6 +73,10 @@ class TestGAConfig:
             GAConfig(init_density=1.5)
         with pytest.raises(ConfigError):
             GAConfig(tournament_size=0)
+        for bad in (True, "0.5", math.inf, math.nan):
+            for name in ("generations", "crossover_probability", "mutation_rate", "init_density"):
+                with pytest.raises(ConfigError, match=f"^{name} must be"):
+                    GAConfig(**{name: bad})
 
 
 class TestEvaluate:

@@ -48,6 +48,11 @@ class TestESConfig:
             ESConfig(mutation_spread=-0.1)
         with pytest.raises(ConfigError):
             ESConfig(lambda_=True)
+        for bad in (True, "0.1", math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                ESConfig(delta=bad)
+            with pytest.raises(ConfigError):
+                ESConfig(mutation_spread=bad)
 
     def test_numpy_integers_accepted(self):
         config = ESConfig(lambda_=np.int64(8))

@@ -119,6 +119,9 @@ class TestFitnessParams:
     def test_invalid_alpha(self):
         with pytest.raises(ConfigError):
             FitnessParams(alpha=0.0)
+        for bad in (True, "0.05", math.inf, math.nan):
+            with pytest.raises(ConfigError, match="^alpha must be a finite positive number"):
+                FitnessParams(alpha=bad)
 
     def test_invalid_beta(self):
         with pytest.raises(ConfigError):

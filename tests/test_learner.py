@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from rulemix import (
     model_document,
 )
 from rulemix.composition import SolutionIndividual
+from rulemix.cli import BenchmarkSettings
 from rulemix.errors import ConfigError, DataError
 
 from conftest import linear_data, small_config
@@ -41,6 +45,19 @@ class TestLearnerConfig:
             LearnerConfig(master_seed=-1)
         with pytest.raises(ConfigError):
             LearnerConfig(master_seed=2**64)
+        for bad in (True, "3", math.inf, math.nan):
+            for name in ("n_iter", "ridge_coeff", "master_seed"):
+                with pytest.raises(ConfigError, match=f"^{name} must be"):
+                    LearnerConfig(**{name: bad})
+        with pytest.raises(ConfigError):
+            LearnerConfig(ridge_coeff=10**400)
+
+    def test_every_setting_has_exactly_one_kind(self):
+        """Each field of a config dataclass that is not a section has one
+        entry in the kind table, so a new field cannot skip the check."""
+        for cls in (LearnerConfig, ESConfig, GAConfig, FitnessParams, BenchmarkSettings):
+            settings = [f.name for f in fields(cls) if not is_dataclass(f.default_factory)]
+            assert [f.name for f in fields(cls) if "kind" in f.metadata] == settings, cls.__name__
 
 
 class TestConfigDict:
