@@ -14,6 +14,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import PurePath
 from typing import Iterator, NoReturn, TextIO
 
@@ -192,25 +193,50 @@ class TransformState:
     def dim(self) -> int:
         return int(self.feature_min.shape[0])
 
+    def check_features(self, X) -> np.ndarray:
+        """X as a 2-d array with one column per feature, or DataError. It
+        is copied, as floats, only when its dtype does not cast safely to
+        float; any memory order is kept."""
+        X = np.asarray(X)
+        if X.dtype != np.float64 and not np.can_cast(X.dtype, np.float64):
+            X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise DataError(f"expected 2-d input with {self.dim} features, got shape {X.shape}")
+        return X
+
+    def scale_features(self, X, out: np.ndarray) -> np.ndarray:
+        """The feature scaling, 2 (X - min) / span - 1, of the rows X
+        written into out and returned: every scaled feature, whole or a
+        chunk at a time, is computed here."""
+        np.subtract(X, self.feature_min, out=out)
+        out *= 2.0
+        out /= self._span
+        out -= 1.0
+        return out
+
     def transform_features(self, X) -> np.ndarray:
         """Scaled features, C-ordered whatever the order of X, so that
         fitting and predicting do not depend on the caller's layout."""
-        X = np.ascontiguousarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.dim:
-            raise DataError(f"expected 2-d input with {self.dim} features, got shape {X.shape}")
-        span = self.feature_max - self.feature_min
-        return 2.0 * (X - self.feature_min) / span - 1.0
+        X = self.check_features(X)
+        return self.scale_features(X, np.empty(X.shape))
+
+    @cached_property
+    def _span(self) -> np.ndarray:
+        return self.feature_max - self.feature_min
 
     def inverse_features(self, X_scaled) -> np.ndarray:
         X_scaled = np.asarray(X_scaled, dtype=float)
-        span = self.feature_max - self.feature_min
-        return (X_scaled + 1.0) / 2.0 * span + self.feature_min
+        return (X_scaled + 1.0) / 2.0 * self._span + self.feature_min
 
     def transform_target(self, y) -> np.ndarray:
         return (np.asarray(y, dtype=float) - self.target_mean) / self.target_std
 
-    def inverse_target(self, y_scaled) -> np.ndarray:
-        return np.asarray(y_scaled, dtype=float) * self.target_std + self.target_mean
+    def inverse_target(self, y_scaled, out: np.ndarray | None = None) -> np.ndarray:
+        """Standardized targets in original units, written into out when
+        given; out may be y_scaled itself."""
+        y = np.multiply(np.asarray(y_scaled, dtype=float), self.target_std, out=out)
+        y += self.target_mean
+        return y
 
 
 def fit_transform(X, y) -> tuple[TransformState, np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from .rules import Rule, _check_bounds, _fitness, _ridge_fits, _volume, fit_subm
 class ESConfig:
     """Settings of one rule-discovery cycle."""
 
-    lambda_: int = setting(20, POSITIVE_INT)
+    lambda_: int = setting(20, POSITIVE_INT, key="lambda")
     """Children drafted per generation."""
 
     delta: int = setting(8, POSITIVE_INT)

@@ -62,9 +62,17 @@ OPTIONAL_PROBABILITY = ("null or a number in [0, 1]", lambda v: v is None or PRO
 OPEN_FRACTION = ("a number strictly between 0 and 1", lambda v: _number(v) and 0 < v < 1)
 
 
-def setting(default, kind):
-    """A config dataclass field holding a setting of the kind."""
-    return field(default=default, metadata={"kind": kind})
+def setting(default, kind, key: str | None = None):
+    """A config dataclass field holding a setting of the kind. key is the
+    name users write, where it cannot be the field's own (lambda is a
+    Python keyword)."""
+    return field(default=default, metadata={"kind": kind} if key is None else {"kind": kind, "key": key})
+
+
+def setting_key(f) -> str:
+    """The name users write for a config dataclass field: in config
+    documents, --set and error messages."""
+    return f.metadata.get("key", f.name)
 
 
 def check(name: str, value, kind) -> None:
@@ -77,4 +85,4 @@ def check_settings(config) -> None:
     """Check each setting field of a config dataclass: its __post_init__."""
     for f in type(config).__dataclass_fields__.values():
         if "kind" in f.metadata:
-            check(f.name, getattr(config, f.name), f.metadata["kind"])
+            check(setting_key(f), getattr(config, f.name), f.metadata["kind"])

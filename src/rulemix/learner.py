@@ -9,7 +9,7 @@ is unchanged, and its parsimony objective rises with the pool size.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -17,7 +17,7 @@ import numpy as np
 from .composition import GAConfig, SolutionIndividual, compose_solution
 from .data import TransformState, fit_transform
 from .discovery import ESConfig, discover_rules
-from .errors import NON_NEGATIVE, POSITIVE_INT, SEED, ConfigError, check_settings, setting
+from .errors import NON_NEGATIVE, POSITIVE_INT, SEED, ConfigError, check_settings, setting, setting_key
 from .fitness import FitnessParams
 from .rng import spawn_rng
 from .rules import Pool, mix_predict
@@ -44,20 +44,22 @@ class LearnerConfig:
     __post_init__ = check_settings
 
 
-def config_to_dict(config: LearnerConfig) -> dict:
-    """Flatten a LearnerConfig to plain nested dicts (JSON friendly)."""
-    doc = asdict(config)
-    doc["es"] = dict(doc["es"])
-    doc["es"]["lambda"] = doc["es"].pop("lambda_")
-    return doc
+def config_to_dict(config) -> dict:
+    """Flatten a LearnerConfig to plain nested dicts (JSON friendly),
+    keyed by the names users write (setting_key)."""
+    return {
+        setting_key(f): config_to_dict(value) if is_dataclass(value := getattr(config, f.name)) else value
+        for f in fields(config)
+    }
 
 
 def _section_from_dict(cls, section_name: str, values: dict, base):
+    """base with the settings of one config section replaced; a setting
+    may be named by its key or by its field."""
     if not isinstance(values, dict):
         raise ConfigError(f"{section_name} must be a mapping, got {type(values).__name__}")
-    values = dict(values)
-    if section_name == "es" and "lambda" in values:
-        values["lambda_"] = values.pop("lambda")
+    names = {setting_key(f): f.name for f in fields(cls)}
+    values = {names.get(key, key): value for key, value in values.items()}
     unknown = sorted(values.keys() - cls.__dataclass_fields__.keys())
     if unknown:
         raise ConfigError(f"unknown {section_name} key {unknown[0]!r}")
@@ -106,9 +108,18 @@ class TrainedModel:
         return self.elitist.complexity
 
     def predict(self, X) -> np.ndarray:
-        """Predict in original target units for raw (unscaled) inputs."""
-        X_scaled = self.transform.transform_features(X)
-        return self.transform.inverse_target(mix_predict(self.selected_rules, X_scaled))
+        """Predict in original target units for raw (unscaled) inputs.
+
+        The raw rows go to mix_predict with the model's scaling step, so a
+        batch is scaled, matched and mixed in chunks of 4096 rows through
+        one fixed workspace, and the predictions are un-standardized in
+        place: only the returned array grows with the rows. The bits are
+        those of inverse_target(mix_predict(selected_rules,
+        transform_features(X))).
+        """
+        X = self.transform.check_features(X)
+        predictions = mix_predict(self.selected_rules, X, scale=self.transform.scale_features)
+        return self.transform.inverse_target(predictions, out=predictions)
 
     def predict_scaled(self, X_scaled) -> np.ndarray:
         """Predict in standardized target units for already-scaled inputs."""

@@ -84,7 +84,7 @@ def _match_matrix(lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray) -> np.n
     the column loop on many rows. An empty Pool's (0, 0) bounds do not
     broadcast against a row and take the loop."""
     if X.shape[0] == 1 and len(lowers):
-        return ((X[0] >= lowers) & (X[0] <= uppers)).all(axis=1)[:, None]
+        return np.logical_and.reduce((X[0] >= lowers) & (X[0] <= uppers), axis=1)[:, None]
     matched = np.ones((lowers.shape[0], X.shape[0]), dtype=bool)
     for j in range(lowers.shape[1]):
         column = X[:, j]
@@ -261,59 +261,89 @@ class Pool:
         return (self[i] for i in range(len(self)))
 
 
-def _mix_terms(pool: Pool, X: np.ndarray, eps: float = MIX_EPS) -> Iterator[tuple[slice, np.ndarray]]:
-    """The mixing kernel. For each chunk of rows of a C-ordered 2-d X,
-    CHUNK_BYTES of floats per rule, yields (rows, terms): terms[i, 0] is
-    rule i's output times its weight experience / (mse + eps), terms[i, 1]
-    that weight, both +0.0 where rule i does not match. Summed over axis 0
-    from 0.0 they add the rules in pool order. terms is reused.
+def _mix_terms(pool: Pool, X: np.ndarray, eps: float = MIX_EPS, scale=None) -> Iterator[tuple[slice, np.ndarray]]:
+    """The mixing kernel. For each chunk of rows of a 2-d X, CHUNK_BYTES
+    // 8 of them (4096), yields (rows, terms): terms[i, 0] is rule i's
+    output times its weight experience / (mse + eps), terms[i, 1] that
+    weight, both +0.0 where rule i does not match. Summed over axis 0
+    from 0.0 they add the rules in pool order.
+
+    X holds scaled features in C order or, with scale, rows of any
+    layout and real dtype that scale(rows, out) scales into a C-ordered
+    out. The scaled rows, their Fortran-ordered copy for _match_matrix
+    and terms are buffers of one chunk, or of X when it is smaller, made
+    once per call and reused by every chunk. A one-row chunk goes to
+    _match_matrix's one-row broadcast, and d = 1 matches on its one
+    column in place, so neither is copied.
 
     Each output is its rule's own X @ coefficients: a stacked product
     rounds otherwise for d > 1. Chunks start at multiples of 4 rows, so
     BLAS rounds each row as on all of X, and a lone last row joins the
     chunk before it, since numpy takes a dot product for one row.
     """
-    if len(pool) and pool.lowers.shape[1] != X.shape[1]:
-        raise ValueError(f"dimension mismatch: rules have {pool.lowers.shape[1]} dimensions, X has {X.shape[1]}")
-    X_columns = np.asfortranarray(X)
+    n, d = X.shape
+    if len(pool) and pool.lowers.shape[1] != d:
+        raise ValueError(f"dimension mismatch: rules have {pool.lowers.shape[1]} dimensions, X has {d}")
     weights = (pool.experience / (pool.in_sample_mse + eps))[:, None]
+    intercepts = pool.intercepts[:, None]
     step = max(4, CHUNK_BYTES // 32 * 4)
-    bounds = [*range(0, max(X.shape[0] - 1, 1), step), X.shape[0]]
-    terms = np.empty((len(pool), 2, min(step + 1, X.shape[0])))
-    for start, stop in zip(bounds, bounds[1:]):
-        chunk = terms[:, :, : stop - start]
-        for coefficients, outputs in zip(pool.coefficients, chunk[:, 0]):
-            np.matmul(X[start:stop], coefficients, out=outputs)
-        chunk[:, 0] += pool.intercepts[:, None]
-        chunk[:, 0] *= weights
+    size = min(step + 1, n)
+    terms = np.empty((len(pool), 2, size))
+    scaled = None if scale is None else np.empty((size, d))
+    columns = np.empty((size, d), order="F") if size > 1 and d > 1 else None
+    last = max(n - 1, 1)
+    for start in range(0, last, step):
+        stop = start + step if start + step < last else n
+        m = stop - start
+        rows = X[start:stop] if scale is None else scale(X[start:stop], scaled[:m])
+        chunk = terms[:, :, :m]
+        outputs = chunk[:, 0]
+        for coefficients, rule_outputs in zip(pool.coefficients, outputs):
+            np.matmul(rows, coefficients, out=rule_outputs)
+        outputs += intercepts
+        outputs *= weights
         chunk[:, 1] = weights
+        if columns is not None and m > 1:
+            columns[:m] = rows
+            rows = columns[:m]
         # keeping all bits of matching entries and none of the others makes
         # those +0.0 even at inf or NaN; a masked multiply was 3x slower
-        keep = np.subtract(0, _match_matrix(pool.lowers, pool.uppers, X_columns[start:stop]), dtype=np.int64)
-        np.bitwise_and(chunk.view(np.int64), keep[:, None], out=chunk.view(np.int64))
+        keep = np.subtract(0, _match_matrix(pool.lowers, pool.uppers, rows), dtype=np.int64)
+        bits = chunk.view(np.int64)
+        np.bitwise_and(bits, keep[:, None], out=bits)
         yield slice(start, stop), chunk
 
 
-def mix_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+def mix_ratio(numerator: np.ndarray, denominator: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Summed weighted outputs over summed weights; 0, the standardized
-    target mean, on rows where no rule matched."""
-    predictions = np.zeros(numerator.shape[0])
-    np.divide(numerator, denominator, out=predictions, where=denominator > 0)
-    return predictions
+    target mean, on rows where no rule matched. Written into out when
+    given."""
+    if out is None:
+        out = np.empty(numerator.shape[0])
+    out.fill(0.0)
+    np.divide(numerator, denominator, out=out, where=denominator > 0)
+    return out
 
 
-def mix_predict(pool: Pool, X, eps: float = MIX_EPS) -> np.ndarray:
+def mix_predict(pool: Pool, X, eps: float = MIX_EPS, scale=None) -> np.ndarray:
     """Weighted average of the matching rules' outputs at each row of X.
 
     Each matching rule contributes with weight experience / (mse + eps).
     Rows matched by no rule predict 0, the standardized target mean.
     The result does not depend on the memory order of X; for d = 1 a
     row also predicts the same bits alone as in a batch.
+
+    X holds scaled features or, with scale, raw rows that
+    scale(rows, out) scales a chunk at a time (TrainedModel.predict
+    passes TransformState.scale_features). Each chunk's ratio is written
+    straight into the returned array, the one allocation that grows
+    with the rows.
     """
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float) if scale is None else np.asarray(X)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
-    sums = np.empty((2, X.shape[0]))
-    for rows, terms in _mix_terms(pool, X, eps):
-        np.add.reduce(terms, axis=0, out=sums[:, rows], initial=0.0)
-    return mix_ratio(sums[0], sums[1])
+    predictions = np.empty(X.shape[0])
+    for rows, terms in _mix_terms(pool, X, eps, scale):
+        sums = np.add.reduce(terms, axis=0, initial=0.0)
+        mix_ratio(sums[0], sums[1], out=predictions[rows])
+    return predictions

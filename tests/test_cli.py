@@ -104,6 +104,16 @@ class TestFit:
         write_training_csv(data)
         assert main(["fit", str(data), "--set", "n_iter=0"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("assignment", ["es.lambda=null", "es.lambda_=null"])
+    def test_config_error_names_the_key_users_write(self, tmp_path, capsys, assignment):
+        """lambda is a Python keyword, so its field is lambda_; the error
+        names the key of config files, --set and --help either way."""
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        assert main(["fit", str(data), "--out", str(tmp_path / "model.json"), "--set", assignment]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: es.lambda must be a positive integer, got None\n"
+        assert not (tmp_path / "model.json").exists()
+
     def test_config_file_and_set_overrides(self, tmp_path, capsys):
         data = tmp_path / "train.csv"
         write_training_csv(data)

@@ -1,10 +1,15 @@
 import math
+import tracemalloc
 from dataclasses import fields, is_dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rulemix.learner
+import rulemix.rules
 from rulemix import (
     ESConfig,
     FitnessParams,
@@ -13,6 +18,7 @@ from rulemix import (
     Pool,
     Rule,
     TrainedModel,
+    TransformState,
     config_from_dict,
     config_to_dict,
     fit,
@@ -21,7 +27,7 @@ from rulemix import (
     model_document,
 )
 from rulemix.composition import SolutionIndividual
-from rulemix.cli import BenchmarkSettings
+from rulemix.cli import BenchmarkSettings, _flatten
 from rulemix.errors import ConfigError, DataError
 
 from conftest import linear_data, small_config
@@ -91,6 +97,18 @@ class TestConfigDict:
         assert config.ga.generations == 9
         assert config.ga.population_size == base.ga.population_size
         assert config.master_seed == 3
+
+    def test_every_config_error_names_the_key_users_write(self):
+        """A bad value of each key of config_to_dict, the keys of config
+        files and --set, raises an error that begins with that key."""
+        for key, _ in _flatten(config_to_dict(LearnerConfig())):
+            *sections, name = key.split(".")
+            doc = {name: "bad"}
+            for section in reversed(sections):
+                doc = {section: doc}
+            with pytest.raises(ConfigError) as err:
+                config_from_dict(doc)
+            assert str(err.value).startswith(f"{key} must be "), str(err.value)
 
     def test_unknown_keys_rejected_by_name(self):
         with pytest.raises(ConfigError) as err:
@@ -254,3 +272,89 @@ class TestInputLayout:
         X, y = linear_data(n=60, d=3, seed=4)
         fit(X, y, small_config())
         assert seen == [(True, False)] * small_config().n_iter
+
+
+def random_model(gen: np.random.Generator, d: int, n_rules: int) -> TrainedModel:
+    """A TrainedModel of random rules, some of them narrow, over a random
+    training box; every rule is selected."""
+    rules = []
+    for _ in range(n_rules):
+        lower, upper = np.sort(gen.uniform(-1.0, 1.0, size=(2, d)), axis=0)
+        volume = float(np.prod((upper - lower) / 2.0))
+        rules.append(Rule(lower, upper, gen.normal(0.0, 3.0, size=d), gen.normal(), gen.uniform(0.0, 2.0), int(gen.integers(1, 500)), volume, 0.0))
+    feature_min = gen.uniform(-5.0, 5.0, size=d)
+    transform = TransformState(
+        feature_min=feature_min,
+        feature_max=feature_min + gen.uniform(0.5, 10.0, size=d),
+        target_mean=float(gen.normal(0.0, 10.0)),
+        target_std=float(gen.uniform(0.1, 5.0)),
+    )
+    elitist = SolutionIndividual(genome=np.ones(n_rules, dtype=bool), fitness=0.0, complexity=n_rules, in_sample_mse=0.0)
+    return TrainedModel(pool=Pool(rules), elitist=elitist, transform=transform, config=LearnerConfig())
+
+
+@st.composite
+def streamed_queries(draw):
+    """A random model, CHUNK_BYTES, and a raw query of d = 1-3 features:
+    1, 2, 3 or 5 rows, or just under or over one or two chunks; rows
+    inside and outside the training box, some that no rule matches;
+    C-ordered, Fortran-ordered, strided or integer."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    model = random_model(gen, d, draw(st.integers(0, 8)))
+    chunk_bytes = draw(st.sampled_from([1, 32, 100]))
+    step = max(4, chunk_bytes // 32 * 4)
+    n = draw(st.sampled_from([1, 2, 3, 5, step - 1, step, step + 1, step + 2, 2 * step - 1, 2 * step + 1]))
+    # scaled rows in [-1.6, 1.6]^d; beyond [-1, 1] no rule matches
+    X = model.transform.inverse_features(gen.uniform(-1.6, 1.6, size=(n, d)))
+    layout = draw(st.sampled_from(["C", "F", "strided", "int"]))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 2 * d))
+        wide[::2, ::2] = X
+        X = wide[::2, ::2]
+    elif layout == "int":
+        X = np.rint(X).astype(np.int64)
+    return model, chunk_bytes, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(streamed_queries())
+def test_streamed_predict_equals_scaling_then_mixing_bitwise(case):
+    """predict streams raw rows through the mixing kernel a chunk at a
+    time, yet gives the bits of scaling the whole of X, mixing it and
+    un-standardizing the result; the scaling is still the expression
+    2 (X - min) / span - 1 on X as floats."""
+    model, chunk_bytes, X = case
+    transform = model.transform
+    X_float = np.asarray(X, dtype=float)
+    scaled = 2.0 * (X_float - transform.feature_min) / (transform.feature_max - transform.feature_min) - 1.0
+    with mock.patch.object(rulemix.rules, "CHUNK_BYTES", chunk_bytes):
+        assert transform.transform_features(X).tobytes() == scaled.tobytes()
+        expected = transform.inverse_target(mix_predict(model.selected_rules, transform.transform_features(X)))
+        assert model.predict(X).tobytes() == expected.tobytes()
+        assert model.predict_scaled(scaled).tobytes() == mix_predict(model.selected_rules, scaled).tobytes()
+
+
+def test_batch_predict_allocates_only_its_output():
+    """Scaling, matching and mixing reuse one chunk's workspace, so from
+    50,000 to 100,000 rows of d = 4 the peak memory traced in predict
+    grows by the output's 8 bytes per row and at most SLACK more. A
+    predict that scales the whole of X first grows by about 80 bytes per
+    row here."""
+    SLACK = 64 * 1024
+    model = random_model(np.random.default_rng(26), 4, 12)
+    X = model.transform.inverse_features(np.random.default_rng(27).uniform(-1.2, 1.2, size=(100_000, 4)))
+    model.predict(X[:10])
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n in (50_000, 100_000):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            model.predict(X[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * 50_000 + SLACK, peaks
