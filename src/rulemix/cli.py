@@ -14,6 +14,8 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
 from .benchmark import BenchmarkReport, format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
 from .data import Dataset, _atomic_open, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
 from .describe import describe_model, describe_rule
@@ -285,6 +287,13 @@ def cmd_gen(args) -> int:
     check("--segments", args.segments, POSITIVE_INT)
     check("--noise-std", args.noise_std, NON_NEGATIVE)
     check("--seed", args.seed, SEED)
+    for flag, count in (("--n", args.n), ("--segments", args.segments)):
+        # np.empty touches no page, and numpy refuses a size far beyond
+        # memory at once: an absurd size ends here, not in a traceback
+        try:
+            np.empty(count)
+        except (MemoryError, ValueError):
+            raise ConfigError(f"{flag} {count} is too large: an array of {count} floats cannot be allocated") from None
     dataset = gen_piecewise_linear(args.n, args.segments, noise_std=args.noise_std, seed=args.seed)
     write_csv(dataset, args.out)
     if args.format == "machine":

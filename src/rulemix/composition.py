@@ -10,7 +10,8 @@ Each generation is bred with array operations over a (children, pool
 size) genome matrix: the population is ranked once, and one draw per
 operator covers every child (all tournaments, all crossover decisions,
 all cut keys, all mutation masks). Children are then evaluated one by
-one through the evaluator's memo.
+one through the evaluator's memo. Each cycle's evaluator grows from the
+previous cycle's, computing the mixing terms of the new rules only.
 """
 
 from __future__ import annotations
@@ -63,38 +64,66 @@ class PoolEvaluator:
     kernel of rules.py, so that a genome evaluation is one row sum.
 
     Rule fitnesses are independent, so a fitted rule's match set, output
-    and weight never change. terms[i] holds rule i's weighted outputs and
-    weight at every training row, +0.0 where it does not match; summing
-    the selected rules' terms in pool order from 0.0 makes mix_predict's
-    float additions, so evaluations agree with it bit for bit.
+    and weight never change. terms[i], a read-only (2, n) array, holds
+    rule i's weighted outputs and weight at every training row, +0.0
+    where it does not match; adding the selected rules' terms in pool
+    order from 0.0 makes mix_predict's float additions, so evaluations
+    agree with it bit for bit.
 
-    Evaluations are cached on the genome's bytes, one cache per params,
-    for the life of the evaluator: a repeated genome returns the same
-    SolutionIndividual.
+    Built from previous, the evaluator of an earlier cycle on the same X
+    and y over a prefix of the same append-only pool, it shares that
+    evaluator's terms and computes only the new rules'. Evaluations are
+    cached on the genome's bytes, one cache per params, for the life of
+    the evaluator: a repeated genome returns the same SolutionIndividual.
+    An evaluator sums into buffers of its own, so one evaluation runs at
+    a time.
     """
 
-    def __init__(self, pool: Pool, X: np.ndarray, y: np.ndarray):
+    def __init__(self, pool: Pool, X: np.ndarray, y: np.ndarray, previous: PoolEvaluator | None = None):
         self.pool_size = len(pool)
         self.y = y
-        X = np.ascontiguousarray(X, dtype=float)
-        # C order: reducing over axis 0 adds whole rules one after another
-        self.terms = np.empty((self.pool_size, 2, X.shape[0]))
-        for rows, terms in _mix_terms(pool, X):
-            self.terms[:, :, rows] = terms
+        self.X = X = np.ascontiguousarray(X, dtype=float)
+        self.terms: list[np.ndarray] = []
+        if previous is not None:
+            if previous.pool_size > self.pool_size or not (np.array_equal(previous.X, X) and np.array_equal(previous.y, y)):
+                raise ValueError("previous evaluator must cover a prefix of the pool on the same X and y")
+            self.terms = previous.terms[:]
+        # C order: each new rule's terms are one contiguous (2, n) block
+        new = np.empty((self.pool_size - len(self.terms), 2, X.shape[0]))
+        for rows, terms in _mix_terms(pool[len(self.terms) :] if self.terms else pool, X):
+            new[:, :, rows] = terms
+        new.setflags(write=False)
+        self.terms.extend(new)
+        self._sums = np.empty((2, X.shape[0]))
+        self._residuals = np.empty(X.shape[0])
         self._params: FitnessParams | None = None
         self._memos: dict[FitnessParams, dict[bytes, SolutionIndividual]] = {}
 
+    def _sum(self, genome: np.ndarray) -> np.ndarray:
+        """The selected rules' terms added in pool order to 0.0, in the
+        reused (2, n) buffer: the bits of np.add.reduce(terms[genome],
+        axis=0, initial=0.0) without copying the selected rows."""
+        sums = self._sums
+        sums.fill(0.0)
+        for index in genome.nonzero()[0].tolist():
+            sums += self.terms[index]
+        return sums
+
+    def _genome(self, genome) -> np.ndarray:
+        genome = np.asarray(genome, dtype=bool)
+        if genome.shape != (self.pool_size,):
+            raise ValueError(f"genome must have one bit per pool rule ({self.pool_size}), got shape {genome.shape}")
+        return genome
+
     def predictions(self, genome: np.ndarray) -> np.ndarray:
-        sums = np.add.reduce(self.terms[np.asarray(genome, dtype=bool)], axis=0, initial=0.0)
+        sums = self._sum(self._genome(genome))
         return mix_ratio(sums[0], sums[1])
 
     def evaluate(self, genome: np.ndarray, params: FitnessParams) -> SolutionIndividual:
         """Score one rule subset: the error objective squashes its
         in-sample mixing error, the parsimony objective is the unused
         share of the pool."""
-        genome = np.asarray(genome, dtype=bool)
-        if genome.shape != (self.pool_size,):
-            raise ValueError(f"genome must have one bit per pool rule ({self.pool_size}), got shape {genome.shape}")
+        genome = self._genome(genome)
         # params changes seldom, so its hash is not taken on every call
         if params is not self._params:
             self._params, self._memo = params, self._memos.setdefault(params, {})
@@ -102,9 +131,11 @@ class PoolEvaluator:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        residuals = self.y - self.predictions(genome)
+        sums = self._sum(genome)
+        residuals = np.subtract(self.y, mix_ratio(sums[0], sums[1], out=self._residuals), out=self._residuals)
+        residuals *= residuals
         # np.mean's own arithmetic without its per-call wrapping
-        mse = float(np.add.reduce(residuals * residuals) / residuals.size)
+        mse = float(np.add.reduce(residuals) / residuals.size)
         complexity = int(np.count_nonzero(genome))
         o1, o2 = solution_objectives(mse, complexity, self.pool_size, params.beta)
         individual = SolutionIndividual(
@@ -198,17 +229,25 @@ def compose_solution(
     params: FitnessParams,
     rng: np.random.Generator,
     generation_log: list[float] | None = None,
+    evaluators: list[PoolEvaluator] | None = None,
 ) -> SolutionIndividual:
     """One full GA run over the current pool; returns the best individual.
 
     The previous elitist (zero-padded to the current pool size) always
     enters the initial population and elites always survive unchanged,
     so the returned fitness is at least the padded elitist's.
+
+    evaluators, when given, carries the evaluator from run to run: it
+    holds nothing or the evaluator of an earlier run on the same X and y
+    over a prefix of this pool, which this run grows its own from and
+    then leaves there in its place.
     """
     pool_size = len(pool)
     if pool_size == 0:
         raise ValueError("pool is empty")
-    evaluator = PoolEvaluator(pool, X, np.asarray(y, dtype=float))
+    evaluator = PoolEvaluator(pool, X, np.asarray(y, dtype=float), evaluators.pop() if evaluators else None)
+    if evaluators is not None:
+        evaluators.append(evaluator)
 
     base = np.zeros(pool_size, dtype=bool)
     if previous_elitist is not None:

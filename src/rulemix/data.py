@@ -176,6 +176,13 @@ def write_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in x_row] + [repr(float(y_val))])
 
 
+# Rows of the min and span tiles of TransformState.scale_features; a
+# whole chunk of the mixing kernel, rules._mix_terms, is 64 tiles. Tiles
+# of a whole chunk would scale it about 8 us faster, but cached on every
+# live model they raised the peak memory of serving 4-d models by 2 MB.
+TILE_ROWS = 64
+
+
 @dataclass(frozen=True)
 class TransformState:
     """Scaling statistics fitted on training data.
@@ -207,11 +214,21 @@ class TransformState:
     def scale_features(self, X, out: np.ndarray) -> np.ndarray:
         """The feature scaling, 2 (X - min) / span - 1, of the rows X
         written into out and returned: every scaled feature, whole or a
-        chunk at a time, is computed here."""
-        np.subtract(X, self.feature_min, out=out)
-        out *= 2.0
-        out /= self._span
-        out -= 1.0
+        chunk at a time, is computed here.
+
+        C-ordered X and out of a multiple of TILE_ROWS rows are scaled as
+        rows of TILE_ROWS rows each against min and span tiled once per
+        model: the same four operations on each element, in loops the
+        length of a tile rather than of a row. Other row counts and
+        layouts broadcast."""
+        minimum, span, target = self.feature_min, self._span, out
+        if X.shape[0] % TILE_ROWS == 0 and X.flags.c_contiguous and out.flags.c_contiguous:
+            minimum, span = self._tiles
+            X, target = X.reshape(-1, minimum.size), out.reshape(-1, minimum.size)
+        np.subtract(X, minimum, out=target)
+        target *= 2.0
+        target /= span
+        target -= 1.0
         return out
 
     def transform_features(self, X) -> np.ndarray:
@@ -223,6 +240,10 @@ class TransformState:
     @cached_property
     def _span(self) -> np.ndarray:
         return self.feature_max - self.feature_min
+
+    @cached_property
+    def _tiles(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.tile(self.feature_min, TILE_ROWS), np.tile(self._span, TILE_ROWS)
 
     def inverse_features(self, X_scaled) -> np.ndarray:
         X_scaled = np.asarray(X_scaled, dtype=float)

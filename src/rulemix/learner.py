@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .composition import GAConfig, SolutionIndividual, compose_solution
+from .composition import GAConfig, PoolEvaluator, SolutionIndividual, compose_solution
 from .data import TransformState, fit_transform
 from .discovery import ESConfig, discover_rules
 from .errors import NON_NEGATIVE, POSITIVE_INT, SEED, ConfigError, check_settings, setting, setting_key
@@ -139,6 +139,8 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
 
     pool = Pool()
     elitist: SolutionIndividual | None = None
+    # each cycle's GA grows the previous cycle's evaluator
+    evaluators: list[PoolEvaluator] = []
     history: list[float] = []
     for cycle in range(config.n_iter):
         predictions = 0.0 if elitist is None else mix_predict(pool[elitist.genome], X_scaled)
@@ -163,6 +165,7 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
             config.ga,
             config.solution_fitness,
             rng=spawn_rng(config.master_seed, "ga", cycle),
+            evaluators=evaluators,
         )
         if history and not elitist.fitness >= history[-1]:
             raise RuntimeError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -139,6 +140,22 @@ def fit_submodel(
 CHUNK_BYTES = 1 << 15
 
 
+@lru_cache(maxsize=None)
+def _pair_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The moment layout of _ridge_fits for d features, made once per d:
+    the pairs a <= b of z = [1, x, y] in row-major order, as the (p,)
+    index arrays first and second; the (d, d + 1) positions of the
+    pairs (a, b) and (a, d + 1), for a and b in 1..d, that form each
+    box's ridge system and right-hand side; and the (d, d) identity."""
+    first, second = np.nonzero(np.tri(d + 2, dtype=bool).T)
+    position = np.empty((d + 2, d + 2), dtype=np.intp)
+    position[first, second] = position[second, first] = np.arange(first.size)
+    layout = first, second, position[1 : d + 1, 1:], np.eye(d)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 def _ridge_fits(
     lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray, y: np.ndarray, ridge_coeff: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -156,20 +173,26 @@ def _ridge_fits(
     MSE is summed from the box's own residuals, never from the moments,
     which lose digits when the error is small. Both passes take the rows
     CHUNK_BYTES at a time. The intercepts returned are for x itself.
+
+    Most calls fit a few hundred rows, so the fixed cost counts: the
+    pair layout is cached per d, the ridge systems are gathered from the
+    centred moments by index, and a lone box, which matches every row
+    inside itself, skips the spanning box and the unmatched-target mask.
     """
     n_boxes, d = lowers.shape
-    in_box = np.flatnonzero(_match_matrix(lowers.min(axis=0)[None], uppers.max(axis=0)[None], X)[0])
+    first, second, system, eye = _pair_layout(d)
+    lone = n_boxes == 1
+    low, high = (lowers[0], uppers[0]) if lone else (lowers.min(axis=0), uppers.max(axis=0))
+    in_box = np.logical_and.reduce((X >= low) & (X <= high), axis=1).nonzero()[0]
     Z = np.empty((d + 2, in_box.size))
     Z[0] = 1.0
     Z[1 : d + 1] = X.T[:, in_box]
     # a lone box matches every row inside itself
-    matched = _match_matrix(lowers, uppers, Z[1 : d + 1].T) if n_boxes > 1 else np.ones((1, in_box.size), dtype=bool)
-    shift = (lowers.max(axis=0) + uppers.min(axis=0)) / 2.0
+    matched = np.ones((1, in_box.size), dtype=bool) if lone else _match_matrix(lowers, uppers, Z[1 : d + 1].T)
+    shift = (low + high) / 2.0 if lone else (lowers.max(axis=0) + uppers.min(axis=0)) / 2.0
     Z[1 : d + 1] -= shift[:, None]
     # a target no box matches must not reach the others through 0 * inf
-    Z[d + 1] = np.where(matched.any(axis=0), y[in_box], 0.0)
-    # the pairs a <= b in row-major order
-    first, second = np.nonzero(np.tri(d + 2, dtype=bool).T)
+    Z[d + 1] = y[in_box] if lone else np.where(matched.any(axis=0), y[in_box], 0.0)
     chunk = max(1, CHUNK_BYTES // (8 * max(n_boxes, first.size)))
     chunks = [slice(start, start + chunk) for start in range(0, in_box.size, chunk)]
 
@@ -182,11 +205,16 @@ def _ridge_fits(
     counts = sums[:, 0]
     if not counts.all():
         raise EmptyMatchError("rule matches no training example")
-    scatter = np.empty((n_boxes, d + 2, d + 2))
-    scatter[:, first, second] = scatter[:, second, first] = moments - sums[:, first] * sums[:, second] / counts[:, None]
-    coefficients = _solve_ridge(scatter[:, 1 : d + 1, 1 : d + 1] + ridge_coeff * np.eye(d), scatter[:, 1 : d + 1, d + 1])
-    intercepts = (sums[:, d + 1] - np.einsum("ij,ij->i", sums[:, 1 : d + 1], coefficients)) / counts
-    model = np.column_stack([intercepts, coefficients])
+    centred = moments - sums[:, first] * sums[:, second] / counts[:, None]
+    systems = centred[:, system]
+    gram = systems[:, :, :d]
+    gram += ridge_coeff * eye
+    coefficients = _solve_ridge(gram, systems[:, :, d])
+    model = np.empty((n_boxes, d + 1))
+    model[:, 1:] = coefficients
+    intercepts = model[:, 0]
+    np.subtract(sums[:, d + 1], np.einsum("ij,ij->i", sums[:, 1 : d + 1], coefficients), out=intercepts)
+    intercepts /= counts
 
     squared_errors = np.zeros(n_boxes)
     for rows in chunks:

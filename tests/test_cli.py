@@ -378,6 +378,26 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--n", ["--n", "10000000000000"]),
+            ("--n", ["--n", "4611686018427387904"]),
+            ("--n", ["--n", str(2**70)]),
+            ("--segments", ["--n", "10", "--segments", "10000000000000"]),
+            ("--segments", ["--n", "10", "--segments", "4611686018427387904"]),
+        ],
+    )
+    def test_absurd_size_is_a_config_error_naming_the_flag(self, tmp_path, capsys, flag, argv):
+        """Sizes whose arrays numpy refuses at once end in one error line,
+        not a MemoryError or ValueError traceback, and write nothing."""
+        out = tmp_path / "g.csv"
+        assert main(["gen", "--out", str(out), *argv]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestAtomicOutputs:
     @pytest.mark.parametrize("command", ["predict", "gen"])
     def test_failed_write_keeps_the_previous_file(self, model_path, tmp_path, monkeypatch, capsys, command):

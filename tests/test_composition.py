@@ -175,16 +175,16 @@ class TestEvaluationCache:
 unit_floats = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-@st.composite
-def pools_and_genomes(draw):
-    """Random rules over random rows; bounds are sometimes a data row, so
-    rows on a rule's closed edge are exercised too."""
+def draw_rows(draw) -> np.ndarray:
     d = draw(st.integers(1, 3))
-    n = draw(st.integers(2, 60))
-    X = draw(arrays(np.float64, (n, d), elements=unit_floats))
+    return draw(arrays(np.float64, (draw(st.integers(2, 60)), d), elements=unit_floats))
+
+
+def draw_rules(draw, X: np.ndarray, count: int) -> list[Rule]:
+    n, d = X.shape
     corner = arrays(np.float64, d, elements=unit_floats) | st.sampled_from(list(X))
     rules = []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(count):
         a, b = draw(corner), draw(corner)
         lower, upper = np.minimum(a, b), np.maximum(a, b)
         rules.append(
@@ -199,6 +199,15 @@ def pools_and_genomes(draw):
                 fitness=0.0,
             )
         )
+    return rules
+
+
+@st.composite
+def pools_and_genomes(draw):
+    """Random rules over random rows; bounds are sometimes a data row, so
+    rows on a rule's closed edge are exercised too."""
+    X = draw_rows(draw)
+    rules = draw_rules(draw, X, draw(st.integers(1, 12)))
     size = len(rules)
     genome = draw(
         st.just([False] * size) | st.just([True] * size) | st.lists(st.booleans(), min_size=size, max_size=size)
@@ -221,6 +230,73 @@ def reference_order(population):
         range(len(population)),
         key=lambda i: (-population[i].fitness, population[i].complexity, i),
     )
+
+
+@st.composite
+def growing_pools(draw):
+    """Rows, a target, and the rules of 2 to 5 cycles, 1 to 4 per cycle,
+    added to one pool in turn."""
+    X = draw_rows(draw)
+    y = draw(arrays(np.float64, X.shape[0], elements=st.floats(-10.0, 10.0)))
+    return X, y, [draw_rules(draw, X, draw(st.integers(1, 4))) for _ in range(draw(st.integers(2, 5)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(growing_pools(), st.data())
+def test_grown_evaluator_equals_a_fresh_one_bitwise(case, data):
+    """An evaluator grown cycle by cycle from its predecessor holds the
+    terms of one built afresh over the whole pool, and predicts and
+    scores the empty, a one-rule, the full and a drawn genome alike."""
+    X, y, cycles = case
+    pool, evaluator = Pool(), None
+    for rules in cycles:
+        pool.extend(rules)
+        evaluator = PoolEvaluator(pool, X, y, evaluator)
+    fresh = PoolEvaluator(pool, X, y)
+    assert np.stack(evaluator.terms).tobytes() == np.stack(fresh.terms).tobytes()
+    size = len(pool)
+    one = np.arange(size) == data.draw(st.integers(0, size - 1))
+    drawn = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    params = FitnessParams()
+    for genome in (np.zeros(size, dtype=bool), one, np.ones(size, dtype=bool), drawn):
+        assert evaluator.predictions(genome).tobytes() == fresh.predictions(genome).tobytes()
+        grown, built = evaluator.evaluate(genome, params), fresh.evaluate(genome, params)
+        assert same_bits(grown.fitness, built.fitness)
+        assert same_bits(grown.in_sample_mse, built.in_sample_mse)
+        assert grown.complexity == built.complexity
+        assert grown.genome.tobytes() == built.genome.tobytes()
+
+
+def test_evaluator_grows_only_from_a_prefix_on_the_same_data():
+    pool, X, y = build_pool(n_rules=4, seed=13)
+    previous = PoolEvaluator(pool, X, y)
+    with pytest.raises(ValueError, match="prefix"):
+        PoolEvaluator(pool[np.arange(3)], X, y, previous)
+    with pytest.raises(ValueError, match="same X and y"):
+        PoolEvaluator(pool, X, y + 1.0, previous)
+    with pytest.raises(ValueError, match="same X and y"):
+        PoolEvaluator(pool, X[:, ::-1], y, previous)
+
+
+def test_compose_solution_carries_its_evaluator_to_the_next_run():
+    """Each run pops the evaluator an earlier run left, grows it over the
+    grown pool and leaves its own, and picks what a fresh run picks."""
+    pool, X, y = build_pool(n_rules=4, seed=14)
+    extra, _, _ = build_pool(n_rules=3, seed=15)
+    config = GAConfig(population_size=8, generations=3, n_elitists=2)
+    evaluators: list[PoolEvaluator] = []
+    carried = compose_solution(pool, None, X, y, config, FitnessParams(), np.random.default_rng(1), evaluators=evaluators)
+    first = evaluators[0]
+    grown = Pool(pool)
+    grown.extend(extra)
+    carried = compose_solution(grown, carried, X, y, config, FitnessParams(), np.random.default_rng(2), evaluators=evaluators)
+    assert len(evaluators) == 1 and evaluators[0] is not first
+    assert evaluators[0].pool_size == len(grown)
+    assert all(a is b for a, b in zip(evaluators[0].terms, first.terms))
+    fresh = compose_solution(pool, None, X, y, config, FitnessParams(), np.random.default_rng(1))
+    fresh = compose_solution(grown, fresh, X, y, config, FitnessParams(), np.random.default_rng(2))
+    assert carried.genome.tobytes() == fresh.genome.tobytes()
+    assert same_bits(carried.fitness, fresh.fitness)
 
 
 class TestRankOrder:

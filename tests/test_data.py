@@ -13,7 +13,7 @@ from rulemix import (
     monte_carlo_split,
     write_csv,
 )
-from rulemix.data import _read_rows, read_numeric_csv
+from rulemix.data import TILE_ROWS, _read_rows, read_numeric_csv
 from rulemix.errors import DataError, DegenerateFeatureError, DegenerateTargetError
 
 from conftest import csv_cases, matrix_dataset, replace_cell
@@ -239,6 +239,22 @@ class TestFitTransform:
         state, _, _ = fit_transform(X, y)
         with pytest.raises(DataError):
             state.transform_features(rng.uniform(size=(3, 4)))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 64 * TILE_ROWS, 64 * TILE_ROWS + 1])
+@pytest.mark.parametrize("layout", ["C", "F", "float32", "int"])
+def test_tiled_scaling_equals_the_broadcast_expression_bitwise(rows, layout):
+    """C-ordered rows, a multiple of TILE_ROWS of them, are scaled in rows
+    of tiles against tiled min and span; every row count and layout gives
+    the bits of 2 (X - min) / span - 1 broadcast along the rows."""
+    gen = np.random.default_rng(rows)
+    state, _, _ = fit_transform(gen.uniform(-3.0, 9.0, size=(20, 3)), gen.normal(size=20))
+    X = gen.uniform(-5.0, 11.0, size=(rows, 3))
+    X = {"C": X, "F": np.asfortranarray(X), "float32": X.astype(np.float32), "int": np.rint(X).astype(np.int64)}[layout]
+    expected = 2.0 * (X - state.feature_min) / (state.feature_max - state.feature_min) - 1.0
+    out = np.empty((rows, 3))
+    assert state.scale_features(X, out) is out
+    assert out.tobytes() == expected.tobytes()
 
 
 class TestMonteCarloSplit:

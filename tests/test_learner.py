@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import fields, is_dataclass
@@ -358,3 +359,23 @@ def test_batch_predict_allocates_only_its_output():
     finally:
         tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 8 * 50_000 + SLACK, peaks
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_carried_evaluator_changes_no_bit_of_a_fit(d, seed, n_rules):
+    """Each cycle's GA grows the previous cycle's evaluator; a fit built
+    with a fresh evaluator every cycle is the same model, bit for bit,
+    with the same fitness history."""
+    X, y = linear_data(n=90, d=d, noise=0.3, seed=seed % 1000)
+    config = small_config(master_seed=seed, n_iter=4, es=ESConfig(lambda_=5, delta=2, n_rules=n_rules))
+    carried = fit(X, y, config)
+    compose = rulemix.learner.compose_solution
+
+    def compose_afresh(*args, evaluators=None, **kwargs):
+        return compose(*args, **kwargs)
+
+    with mock.patch.object(rulemix.learner, "compose_solution", compose_afresh):
+        afresh = fit(X, y, config)
+    assert json.dumps(model_document(carried)) == json.dumps(model_document(afresh))
+    assert np.array(carried.fitness_history).tobytes() == np.array(afresh.fitness_history).tobytes()

@@ -539,3 +539,90 @@ def test_one_row_mixes_eight_or_more_rules_in_pool_order():
     singles = np.array([model.predict(X_raw[i : i + 1])[0] for i in range(X.shape[0])])
     assert singles.tobytes() == batch.tobytes()
     assert mix_predict(pool[genome], X).tobytes() == sequential_mix(pool[genome], X).tobytes()
+
+
+def reference_ridge_fits(lowers, uppers, X, y, ridge_coeff):
+    """_ridge_fits as it was before its fixed cost was cut: the pair
+    layout rebuilt, the union rows and the match matrix found by
+    comparisons written out here, the ridge systems read from a filled
+    (k, d + 2, d + 2) scatter and the model column-stacked. Only the
+    stacked solve, _solve_ridge, is shared."""
+    n_boxes, d = lowers.shape
+    low, high = lowers.min(axis=0), uppers.max(axis=0)
+    in_box = np.flatnonzero(np.all((X >= low) & (X <= high), axis=1))
+    Z = np.empty((d + 2, in_box.size))
+    Z[0] = 1.0
+    Z[1 : d + 1] = X.T[:, in_box]
+    rows_in_box = X[in_box]
+    matched = np.all((rows_in_box[None] >= lowers[:, None]) & (rows_in_box[None] <= uppers[:, None]), axis=2)
+    shift = (lowers.max(axis=0) + uppers.min(axis=0)) / 2.0
+    Z[1 : d + 1] -= shift[:, None]
+    Z[d + 1] = np.where(matched.any(axis=0), y[in_box], 0.0)
+    first, second = np.nonzero(np.tri(d + 2, dtype=bool).T)
+    chunk = max(1, rulemix.rules.CHUNK_BYTES // (8 * max(n_boxes, first.size)))
+    chunks = [slice(start, start + chunk) for start in range(0, in_box.size, chunk)]
+    moments = np.zeros((n_boxes, first.size))
+    for rows in chunks:
+        z = Z[:, rows]
+        moments += matched[:, rows].astype(float) @ (z[first] * z[second]).T
+    sums = moments[:, : d + 2]
+    counts = sums[:, 0]
+    if not counts.all():
+        raise EmptyMatchError("rule matches no training example")
+    scatter = np.empty((n_boxes, d + 2, d + 2))
+    scatter[:, first, second] = scatter[:, second, first] = moments - sums[:, first] * sums[:, second] / counts[:, None]
+    coefficients = rulemix.rules._solve_ridge(
+        scatter[:, 1 : d + 1, 1 : d + 1] + ridge_coeff * np.eye(d), scatter[:, 1 : d + 1, d + 1]
+    )
+    intercepts = (sums[:, d + 1] - np.einsum("ij,ij->i", sums[:, 1 : d + 1], coefficients)) / counts
+    model = np.column_stack([intercepts, coefficients])
+    squared_errors = np.zeros(n_boxes)
+    for rows in chunks:
+        residuals = Z[d + 1, rows] - model @ Z[: d + 1, rows]
+        residuals *= matched[:, rows]
+        squared_errors += np.einsum("ij,ij->i", residuals, residuals)
+    return coefficients, intercepts - coefficients @ shift, squared_errors / counts, counts
+
+
+@st.composite
+def ridge_generations(draw):
+    """An ES-like generation: k boxes around a data row, some of them
+    that row alone or a box between rows, over rows that may be
+    Fortran-ordered, some on a coarse grid, and a target of any scale."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 800))
+    k = draw(st.integers(1, 25))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = gen.uniform(-1.0, 1.0, size=(n, d))
+    snapped = gen.random(n) < draw(st.sampled_from([0.0, 0.5]))
+    X[snapped] = np.round(X[snapped] * 4.0) / 4.0
+    y = gen.normal(0.0, 1.0, size=n) * draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    centre = X[gen.integers(n)]
+    widths = gen.uniform(0.0, draw(st.sampled_from([0.05, 0.5, 2.0])), size=(k, 2, d))
+    # a zero width leaves the box the centre row alone
+    widths[gen.random(k) < 0.2] = 0.0
+    lowers, uppers = np.maximum(centre - widths[:, 0], -1.0), np.minimum(centre + widths[:, 1], 1.0)
+    if draw(st.booleans()):
+        # a box beside the centre may match no row
+        lowers[0], uppers[0] = np.sort(gen.uniform(-1.0, 1.0, size=(2, d)) * 0.01 + centre, axis=0)
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return lowers, uppers, X, y, draw(st.sampled_from([0.0, 0.01, 1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ridge_generations(), st.sampled_from([8, 64, 512, 1 << 15]))
+def test_ridge_fits_equal_the_scatter_formulation_bitwise(case, chunk_bytes):
+    """_ridge_fits gives the bits of the scatter formulation for one box
+    and for a generation, in many chunks or one, and raises
+    EmptyMatchError exactly where it does."""
+    lowers, uppers, X, y, ridge_coeff = case
+    with mock.patch.object(rulemix.rules, "CHUNK_BYTES", chunk_bytes), np.errstate(all="ignore"):
+        for k in sorted({1, lowers.shape[0]}):
+            try:
+                expected = [a.tobytes() for a in reference_ridge_fits(lowers[:k], uppers[:k], X, y, ridge_coeff)]
+            except EmptyMatchError:
+                with pytest.raises(EmptyMatchError):
+                    rulemix.rules._ridge_fits(lowers[:k], uppers[:k], X, y, ridge_coeff)
+                continue
+            assert [a.tobytes() for a in rulemix.rules._ridge_fits(lowers[:k], uppers[:k], X, y, ridge_coeff)] == expected
