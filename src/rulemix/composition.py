@@ -228,7 +228,6 @@ def compose_solution(
     config: GAConfig,
     params: FitnessParams,
     rng: np.random.Generator,
-    generation_log: list[float] | None = None,
     evaluators: list[PoolEvaluator] | None = None,
 ) -> SolutionIndividual:
     """One full GA run over the current pool; returns the best individual.
@@ -259,9 +258,6 @@ def compose_solution(
     evaluated = [evaluator.evaluate(genome, params) for genome in genomes]
     population = [evaluated[i] for i in _rank_order(evaluated)[: config.population_size]]
 
-    if generation_log is not None:
-        generation_log.append(population[0].fitness)
-
     mutation_rate = config.mutation_rate if config.mutation_rate is not None else 1.0 / pool_size
     effective_points = min(config.crossover_points, pool_size - 1)
     n_children = config.population_size - config.n_elitists
@@ -278,7 +274,5 @@ def compose_solution(
         population = [evaluator.evaluate(child, params) for child in children] + [
             population[i] for i in order[: config.n_elitists]
         ]
-        if generation_log is not None:
-            generation_log.append(population[_rank_order(population)[0]].fitness)
 
     return population[_rank_order(population)[0]]

@@ -11,10 +11,11 @@ has not improved for delta consecutive generations.
 Mutation only ever widens intervals and bounds are clipped to the
 scaled domain, so every run reaches a fixed point and terminates.
 
-Rule fitnesses are independent of one another, so the lambda ridge fits
-of a generation are made together by rules._ridge_fits, the one ridge
-arithmetic of the package; fit_submodel, which fits the first parent and
-the rule a run returns, is the same function on a single box.
+Rule fitnesses are independent of one another, so the lambda children
+of a generation are fitted and scored together by rules._fit_boxes, the
+one way the package fits a stack of boxes; fit_submodel, which fits the
+first parent and the rule a run returns, is the same function on a
+single box.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import POSITIVE, POSITIVE_INT, check_settings, setting
 from .fitness import FitnessParams
 from .rng import spawn_rng
-from .rules import Rule, _check_bounds, _fitness, _ridge_fits, _volume, fit_submodel
+from .rules import Rule, _fit_boxes, fit_submodel
 
 
 @dataclass(frozen=True)
@@ -96,18 +97,6 @@ def mutate(
     return np.maximum(lower - steps[:, 0], -1.0), np.minimum(upper + steps[:, 1], 1.0)
 
 
-def _score_children(
-    lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray, y: np.ndarray, ridge_coeff: float, fitness_params: FitnessParams
-) -> list[float]:
-    """Fitness of each child [lowers[i], uppers[i]] from one _ridge_fits
-    call, with fit_submodel's checks made once for the whole generation.
-    A generation of one box gives fit_submodel's fitness bit for bit."""
-    _check_bounds(lowers, uppers)
-    volumes = _volume(lowers, uppers).tolist()
-    mses = _ridge_fits(lowers, uppers, X, y, ridge_coeff)[2].tolist()
-    return [_fitness(mse, volume, fitness_params) for mse, volume in zip(mses, volumes)]
-
-
 def evolve_rule(
     X: np.ndarray,
     y: np.ndarray,
@@ -122,7 +111,7 @@ def evolve_rule(
     The seed example lies inside its initial interval and mutation only
     widens, so every rule of the run matches at least the seed example.
     fit_submodel fits the first parent and the returned rule, and one
-    _score_children call scores each generation, all through the same
+    _fit_boxes call fits and scores each generation, all through the same
     ridge arithmetic. A box fitted among other children is centred on
     another shift and summed over other rows than alone, so its fitness
     there can differ from fit_submodel's in the last bits.
@@ -135,7 +124,7 @@ def evolve_rule(
     stale = 0
     while stale < config.delta:
         lowers, uppers = mutate(lower, upper, config.mutation_spread, config.lambda_, rng)
-        fitnesses = _score_children(lowers, uppers, X, y, ridge_coeff, fitness_params)
+        fitnesses = _fit_boxes(lowers, uppers, X, y, ridge_coeff, fitness_params)[-1]
         # the first of equally fit children wins
         child = fitnesses.index(max(fitnesses))
         lower, upper = lowers[child], uppers[child]

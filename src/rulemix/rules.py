@@ -2,14 +2,15 @@
 
 A rule matches the inputs lying inside its closed per-dimension
 interval and predicts through a linear model fitted by ridge regression
-on exactly the training rows it matches. Every rule is fitted by one
-batched ridge arithmetic, _ridge_fits: alone through fit_submodel, or
-with the other children of its ES generation. Rule fitnesses are
-independent, so a fitted rule never changes: the Pool keeps every rule
-of a run as rows of stacked arrays and only ever appends, so a rule's
-pool index is a stable identifier for the whole run. Every prediction,
-in training and in serving, mixes rules through one chunked kernel,
-_mix_terms.
+on exactly the training rows it matches. Every rule is fitted and
+scored by one function, _fit_boxes, over one batched ridge arithmetic:
+alone through fit_submodel, or with the other children of its ES
+generation. Rows are tested against bounds by _match_matrix alone. Rule
+fitnesses are independent, so a fitted rule never changes: the Pool
+keeps every rule of a run as rows of stacked arrays and only ever
+appends, so a rule's pool index is a stable identifier for the whole
+run. Every prediction, in training and in serving, mixes rules through
+one chunked kernel, _mix_terms.
 """
 
 from __future__ import annotations
@@ -50,16 +51,25 @@ class Rule:
     fitness: float
 
 
-def match_mask(lower: np.ndarray, upper: np.ndarray, X: np.ndarray) -> np.ndarray:
+def match_mask(lower, upper, X) -> np.ndarray:
     """Boolean mask of the rows of X inside [lower, upper] in every dimension.
 
-    Either memory order gives the same mask; for d > 1 a Fortran-ordered
-    (column-major) X is many times faster."""
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-d, got shape {X.shape}")
-    if X.shape[1] != lower.shape[0]:
-        raise ValueError(f"dimension mismatch: rule has {lower.shape[0]} dimensions, X has {X.shape[1]}")
+    lower and upper are 1-d with one entry per column of the 2-d X.
+    Either memory order of X gives the same mask."""
+    X = np.asarray(X)
+    lower, upper = _check_box(lower, upper, X)
     return _match_matrix(lower[None], upper[None], X)[0]
+
+
+def _check_box(lower, upper, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lower and upper as read-only float arrays, checked to be 1-d with
+    one entry per column of the 2-d X."""
+    lower, upper = _readonly(lower), _readonly(upper)
+    if lower.shape != upper.shape or lower.ndim != 1:
+        raise ValueError("lower and upper must be 1-d arrays of equal length")
+    if X.ndim != 2 or X.shape[1] != lower.shape[0]:
+        raise ValueError(f"X must be 2-d with {lower.shape[0]} columns, got shape {X.shape}")
+    return lower, upper
 
 
 def _volume(lower: np.ndarray, upper: np.ndarray):
@@ -68,24 +78,18 @@ def _volume(lower: np.ndarray, upper: np.ndarray):
     return np.prod((upper - lower) / 2.0, axis=-1)
 
 
-def _check_bounds(lower: np.ndarray, upper: np.ndarray) -> None:
-    """Reject bounds outside -1 <= lower <= upper <= 1, for one rule or for
-    a stack of them."""
-    if (lower > upper).any() or (lower < -1.0).any() or (upper > 1.0).any():
-        raise ValueError("bounds must satisfy -1 <= lower <= upper <= 1 in every dimension")
-
-
 def _match_matrix(lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Boolean (k, n) matrix whose entry (i, r) says whether row r of X
-    lies inside [lowers[i], uppers[i]] in every dimension.
+    lies inside [lowers[i], uppers[i]] in every dimension. It is the only
+    place where rows are tested against bounds.
 
-    Built one feature column at a time, which reads a Fortran-ordered X
-    contiguously. A single row is compared with every bound at once:
-    3 numpy calls instead of 1 + 4d, though several times slower than
-    the column loop on many rows. An empty Pool's (0, 0) bounds do not
-    broadcast against a row and take the loop."""
-    if X.shape[0] == 1 and len(lowers):
-        return np.logical_and.reduce((X[0] >= lowers) & (X[0] <= uppers), axis=1)[:, None]
+    One row or one box is compared with every bound at once, in 3 numpy
+    calls. Otherwise the matrix is built one feature column at a time,
+    1 + 4d calls that read a Fortran-ordered X contiguously and beat the
+    broadcast's (k, n, d) temporaries on many rows. An empty Pool's
+    (0, 0) bounds do not broadcast against X and take the loop."""
+    if len(lowers) == 1 or (len(X) == 1 and len(lowers)):
+        return np.logical_and.reduce((X >= lowers[:, None]) & (X <= uppers[:, None]), axis=2)
     matched = np.ones((lowers.shape[0], X.shape[0]), dtype=bool)
     for j in range(lowers.shape[1]):
         column = X[:, j]
@@ -107,31 +111,39 @@ def fit_submodel(
     Minimizes the sum of squared residuals plus ridge_coeff times the
     squared coefficient norm; the intercept is not penalized. Passing
     fitness_params also stamps the rule's fitness, otherwise it is 0.
-    The fit is _ridge_fits on a stack of one box, so either memory order
+    The fit is _fit_boxes on a stack of one box, so either memory order
     of X gives the same fit bit for bit.
     """
     if not ridge_coeff >= 0:
         raise ValueError(f"ridge_coeff must be non-negative, got {ridge_coeff}")
-    lower = _readonly(lower)
-    upper = _readonly(upper)
-    if lower.shape != upper.shape or lower.ndim != 1:
-        raise ValueError("lower and upper must be 1-d arrays of equal length")
-    _check_bounds(lower, upper)
-    if X.ndim != 2 or X.shape[1] != lower.shape[0]:
-        raise ValueError(f"X must be 2-d with {lower.shape[0]} columns, got shape {X.shape}")
-    coefficients, intercepts, mses, counts = _ridge_fits(lower[None], upper[None], X, y, ridge_coeff)
-    mse = float(mses[0])
-    volume = float(_volume(lower, upper))
+    lower, upper = _check_box(lower, upper, X)
+    coefficients, intercepts, mses, counts, volumes, fitnesses = _fit_boxes(lower[None], upper[None], X, y, ridge_coeff, fitness_params)
     return Rule(
         lower=lower,
         upper=upper,
         coefficients=_readonly(coefficients[0]),
         intercept=float(intercepts[0]),
-        in_sample_mse=mse,
+        in_sample_mse=float(mses[0]),
         experience=int(counts[0]),
-        volume=volume,
-        fitness=0.0 if fitness_params is None else _fitness(mse, volume, fitness_params),
+        volume=volumes[0],
+        fitness=fitnesses[0],
     )
+
+
+def _fit_boxes(
+    lowers: np.ndarray, uppers: np.ndarray, X: np.ndarray, y: np.ndarray, ridge_coeff: float, fitness_params: FitnessParams | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float], list[float]]:
+    """Fit and score a (k, d) stack of boxes [lowers[i], uppers[i]]
+    within -1 <= lower <= upper <= 1: their _ridge_fits, then their
+    volumes and fitnesses as lists of k floats, every fitness 0.0 without
+    fitness_params. fit_submodel is this on one box, and each ES
+    generation on its children."""
+    if (lowers > uppers).any() or (lowers < -1.0).any() or (uppers > 1.0).any():
+        raise ValueError("bounds must satisfy -1 <= lower <= upper <= 1 in every dimension")
+    coefficients, intercepts, mses, counts = _ridge_fits(lowers, uppers, X, y, ridge_coeff)
+    volumes = _volume(lowers, uppers).tolist()
+    fitnesses = [0.0 if fitness_params is None else _fitness(mse, volume, fitness_params) for mse, volume in zip(mses.tolist(), volumes)]
+    return coefficients, intercepts, mses, counts, volumes, fitnesses
 
 
 # Rows are taken this many bytes of floats per rule, child or moment
@@ -161,8 +173,8 @@ def _ridge_fits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ridge fits of k boxes [lowers[i], uppers[i]] from one array
     step: their (k, d) coefficients and their (k,) intercepts, in-sample
-    MSEs and matched-row counts. Every rule is fitted here, alone by
-    fit_submodel or with the other children of its ES generation.
+    MSEs and matched-row counts. Every rule is fitted here, through
+    _fit_boxes.
 
     Only the union rows, those inside the box spanning every box, are
     read. With z = [1, x - shift, y] at each of them, where shift is the
@@ -175,24 +187,20 @@ def _ridge_fits(
     CHUNK_BYTES at a time. The intercepts returned are for x itself.
 
     Most calls fit a few hundred rows, so the fixed cost counts: the
-    pair layout is cached per d, the ridge systems are gathered from the
-    centred moments by index, and a lone box, which matches every row
-    inside itself, skips the spanning box and the unmatched-target mask.
+    pair layout is cached per d, and the ridge systems are gathered from
+    the centred moments by index.
     """
     n_boxes, d = lowers.shape
     first, second, system, eye = _pair_layout(d)
-    lone = n_boxes == 1
-    low, high = (lowers[0], uppers[0]) if lone else (lowers.min(axis=0), uppers.max(axis=0))
-    in_box = np.logical_and.reduce((X >= low) & (X <= high), axis=1).nonzero()[0]
+    in_box = _match_matrix(lowers.min(axis=0)[None], uppers.max(axis=0)[None], X)[0].nonzero()[0]
     Z = np.empty((d + 2, in_box.size))
     Z[0] = 1.0
     Z[1 : d + 1] = X.T[:, in_box]
-    # a lone box matches every row inside itself
-    matched = np.ones((1, in_box.size), dtype=bool) if lone else _match_matrix(lowers, uppers, Z[1 : d + 1].T)
-    shift = (low + high) / 2.0 if lone else (lowers.max(axis=0) + uppers.min(axis=0)) / 2.0
+    matched = _match_matrix(lowers, uppers, Z[1 : d + 1].T)
+    shift = (lowers.max(axis=0) + uppers.min(axis=0)) / 2.0
     Z[1 : d + 1] -= shift[:, None]
     # a target no box matches must not reach the others through 0 * inf
-    Z[d + 1] = y[in_box] if lone else np.where(matched.any(axis=0), y[in_box], 0.0)
+    Z[d + 1] = np.where(matched.any(axis=0), y[in_box], 0.0)
     chunk = max(1, CHUNK_BYTES // (8 * max(n_boxes, first.size)))
     chunks = [slice(start, start + chunk) for start in range(0, in_box.size, chunk)]
 
@@ -289,10 +297,10 @@ class Pool:
         return (self[i] for i in range(len(self)))
 
 
-def _mix_terms(pool: Pool, X: np.ndarray, eps: float = MIX_EPS, scale=None) -> Iterator[tuple[slice, np.ndarray]]:
+def _mix_terms(pool: Pool, X: np.ndarray, scale=None) -> Iterator[tuple[slice, np.ndarray]]:
     """The mixing kernel. For each chunk of rows of a 2-d X, CHUNK_BYTES
     // 8 of them (4096), yields (rows, terms): terms[i, 0] is rule i's
-    output times its weight experience / (mse + eps), terms[i, 1] that
+    output times its weight experience / (mse + MIX_EPS), terms[i, 1] that
     weight, both +0.0 where rule i does not match. Summed over axis 0
     from 0.0 they add the rules in pool order.
 
@@ -312,7 +320,7 @@ def _mix_terms(pool: Pool, X: np.ndarray, eps: float = MIX_EPS, scale=None) -> I
     n, d = X.shape
     if len(pool) and pool.lowers.shape[1] != d:
         raise ValueError(f"dimension mismatch: rules have {pool.lowers.shape[1]} dimensions, X has {d}")
-    weights = (pool.experience / (pool.in_sample_mse + eps))[:, None]
+    weights = (pool.experience / (pool.in_sample_mse + MIX_EPS))[:, None]
     intercepts = pool.intercepts[:, None]
     step = max(4, CHUNK_BYTES // 32 * 4)
     size = min(step + 1, n)
@@ -353,10 +361,11 @@ def mix_ratio(numerator: np.ndarray, denominator: np.ndarray, out: np.ndarray | 
     return out
 
 
-def mix_predict(pool: Pool, X, eps: float = MIX_EPS, scale=None) -> np.ndarray:
+def mix_predict(pool: Pool, X, scale=None) -> np.ndarray:
     """Weighted average of the matching rules' outputs at each row of X.
 
-    Each matching rule contributes with weight experience / (mse + eps).
+    Each matching rule contributes with weight experience / (mse +
+    MIX_EPS).
     Rows matched by no rule predict 0, the standardized target mean.
     The result does not depend on the memory order of X; for d = 1 a
     row also predicts the same bits alone as in a batch.
@@ -371,7 +380,7 @@ def mix_predict(pool: Pool, X, eps: float = MIX_EPS, scale=None) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError(f"X must be 2-d, got shape {X.shape}")
     predictions = np.empty(X.shape[0])
-    for rows, terms in _mix_terms(pool, X, eps, scale):
+    for rows, terms in _mix_terms(pool, X, scale):
         sums = np.add.reduce(terms, axis=0, initial=0.0)
         mix_ratio(sums[0], sums[1], out=predictions[rows])
     return predictions

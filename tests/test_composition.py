@@ -22,6 +22,7 @@ from rulemix import (
     solution_objectives,
     tournament_select,
 )
+from rulemix import composition
 from rulemix.composition import _rank_order
 from rulemix.errors import ConfigError
 
@@ -560,14 +561,22 @@ class TestComposeSolution:
         best = compose_solution(pool, None, X, y, config, FitnessParams(), np.random.default_rng(41))
         assert len(best.genome) == 1
 
-    def test_generation_log_tracks_monotone_best(self):
+    def test_best_of_each_ranked_population_never_falls(self, monkeypatch):
         pool, X, y = build_pool(n_rules=8, seed=24)
         config = GAConfig(population_size=10, generations=8, n_elitists=3)
-        log: list[float] = []
-        compose_solution(pool, None, X, y, config, FitnessParams(), np.random.default_rng(42), generation_log=log)
-        assert len(log) == config.generations + 1
+        bests: list[float] = []
+
+        def spy(population):
+            order = _rank_order(population)
+            bests.append(population[order[0]].fitness)
+            return order
+
+        monkeypatch.setattr(composition, "_rank_order", spy)
+        compose_solution(pool, None, X, y, config, FitnessParams(), np.random.default_rng(42))
+        # the initial candidates, the population bred from in each generation and the last one
+        assert len(bests) == config.generations + 2
         # elites survive unchanged, so the best never regresses
-        assert all(b >= a for a, b in zip(log, log[1:]))
+        assert all(b >= a for a, b in zip(bests, bests[1:]))
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):

@@ -23,9 +23,8 @@ from rulemix import (
     select_seed_example,
 )
 from rulemix import discovery
-from rulemix.discovery import _score_children
 from rulemix.errors import ConfigError, EmptyMatchError, NotFittedError
-from rulemix.rules import _match_matrix, _ridge_fits, _solve_ridge
+from rulemix.rules import _fit_boxes, _match_matrix, _ridge_fits, _solve_ridge
 
 
 class TestESConfig:
@@ -299,8 +298,7 @@ def test_generation_scores_match_fit_submodel(problem, n_children, spread):
     lowers, uppers, X, y, ridge = generation(problem, n_children, spread)
     params = FitnessParams()
     matched = _match_matrix(lowers, uppers, X)
-    fitnesses = _score_children(lowers, uppers, X, y, ridge, params)
-    mses = _ridge_fits(lowers, uppers, X, y, ridge)[2]
+    _, _, mses, _, _, fitnesses = _fit_boxes(lowers, uppers, X, y, ridge, params)
     assert len(fitnesses) == mses.size == n_children
     for child in range(n_children):
         assert matched[child].tobytes() == match_mask(lowers[child], uppers[child], X).tobytes()
@@ -346,15 +344,16 @@ def float_bits(values):
 @given(es_problems(), CHILD_SPREADS)
 @settings(max_examples=150, deadline=None)
 def test_fit_submodel_is_a_generation_of_one(problem, spread):
-    """fit_submodel on a box gives, bit for bit, the fit, MSE and fitness
-    that _ridge_fits and _score_children give the one-box generation."""
+    """fit_submodel on a box gives, bit for bit, the fit, MSE, volume and
+    fitness that _ridge_fits and _fit_boxes give the one-box generation."""
     lowers, uppers, X, y, ridge = generation(problem, 1, spread)
     params = FitnessParams()
     rule = fit_submodel(lowers[0], uppers[0], X, y, ridge, params)
     coefficients, intercepts, mses, counts = _ridge_fits(lowers, uppers, X, y, ridge)
     assert float_bits(rule.coefficients) == float_bits(coefficients[0])
     assert float_bits([rule.intercept, rule.in_sample_mse, rule.experience]) == float_bits([intercepts[0], mses[0], counts[0]])
-    assert float_bits([rule.fitness]) == float_bits(_score_children(lowers, uppers, X, y, ridge, params))
+    volumes, fitnesses = _fit_boxes(lowers, uppers, X, y, ridge, params)[4:]
+    assert float_bits([rule.volume, rule.fitness]) == float_bits(volumes + fitnesses)
 
 
 class TestGenerationChecks:
@@ -397,7 +396,7 @@ class TestGenerationChecks:
         lowers = np.array([[-0.1, -0.1], [-0.1, -0.1]])
         uppers = np.array([[0.6, 0.1], [0.1, 0.6]])
         params = FitnessParams()
-        fitnesses = _score_children(lowers, uppers, X, y, 0.01, params)
+        fitnesses = _fit_boxes(lowers, uppers, X, y, 0.01, params)[-1]
         expected = [reference_ridge_fit(lo, up, X, y, 0.01, params).fitness for lo, up in zip(lowers, uppers)]
         assert fitnesses == pytest.approx(expected, rel=1e-12)
 

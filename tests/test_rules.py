@@ -63,6 +63,22 @@ class TestMatching:
         X = np.array([[-0.9], [0.0], [0.4], [0.8]])
         assert np.flatnonzero(match_mask(rule.lower, rule.upper, X)).tolist() == [1, 2]
 
+    @pytest.mark.parametrize(
+        "lower, upper, X",
+        [
+            ([0.0], [1.0, -5.0], [[0.5], [2.0]]),
+            ([0.0, 0.0], [1.0], [[0.5, 0.5]]),
+            ([[0.0]], [[1.0]], [[0.5]]),
+            ([0.0, 0.0], [1.0, 1.0], [[0.5], [0.6]]),
+            ([0.0], [1.0], [0.5]),
+        ],
+    )
+    def test_malformed_bounds_or_rows_raise(self, lower, upper, X):
+        """Bounds that are not 1-d, of equal length and one per column of
+        a 2-d X fail closed rather than broadcast."""
+        with pytest.raises(ValueError):
+            match_mask(np.array(lower), np.array(upper), np.array(X))
+
 
 class TestFitSubmodel:
     def test_matches_penalized_normal_equations(self, rng):
@@ -416,7 +432,7 @@ def test_mixed_prediction_lies_within_the_matching_rules_outputs(case):
         assert at_row.min() - slack <= prediction <= at_row.max() + slack
 
 
-def sequential_mix(rules, X, eps=MIX_EPS):
+def sequential_mix(rules, X):
     """The per-rule mixing loop the chunked kernel replaced, kept as its
     oracle: each rule's weighted output is computed on the whole of X and
     added, with its weight, to running sums at the rows it matches, in
@@ -426,7 +442,7 @@ def sequential_mix(rules, X, eps=MIX_EPS):
     denominator = np.zeros(X.shape[0])
     for rule in rules:
         mask = match_mask(rule.lower, rule.upper, X)
-        weight = rule.experience / (rule.in_sample_mse + eps)
+        weight = rule.experience / (rule.in_sample_mse + MIX_EPS)
         weighted_outputs = weight * (X @ rule.coefficients + rule.intercept)
         numerator[mask] += weighted_outputs[mask]
         denominator[mask] += weight
@@ -491,20 +507,28 @@ def test_mixing_kernel_equals_sequential_loop_bitwise(case, chunk_bytes):
 
 
 @settings(max_examples=100, deadline=None)
-@given(pools_over_queries())
-def test_one_row_matches_and_mixes_as_in_a_batch(case):
-    """A row taken alone, through _match_matrix's one-row broadcast,
-    matches the rules of its column in the batch match matrix and mixes
-    to the bits of the per-rule loop, on-bound, 1e308, infinite and NaN
-    rows and empty pools included."""
+@given(pools_over_queries(), st.sampled_from(["C", "F", "strided"]))
+def test_one_row_matches_and_mixes_as_in_a_batch(case, layout):
+    """A row taken alone and a box taken alone over C-ordered,
+    Fortran-ordered or strided rows, both through _match_matrix's
+    broadcast, match as every bound compared with every row at once; a
+    row alone also mixes to the bits of the per-rule loop. On-bound,
+    1e308, infinite and NaN rows and empty pools are included."""
     rules, X = case
     pool = Pool(rules)
-    # two or more rows take the column loop
-    batch = _match_matrix(pool.lowers, pool.uppers, np.repeat(X, 2, axis=0))[:, ::2]
+    d = X.shape[1]
+    expected = np.all((X >= pool.lowers.reshape(-1, 1, d)) & (X <= pool.uppers.reshape(-1, 1, d)), axis=2)
+    rows = {
+        "C": np.ascontiguousarray(X),
+        "F": np.asfortranarray(X),
+        "strided": np.repeat(np.repeat(X, 2, axis=0), 2, axis=1)[::2, ::2],
+    }[layout]
+    for i in range(len(pool)):
+        assert _match_matrix(pool.lowers[i : i + 1], pool.uppers[i : i + 1], rows).tolist() == expected[i : i + 1].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(X.shape[0]):
             row = X[i : i + 1]
-            assert _match_matrix(pool.lowers, pool.uppers, row).tolist() == batch[:, i : i + 1].tolist()
+            assert _match_matrix(pool.lowers, pool.uppers, row).tolist() == expected[:, i : i + 1].tolist()
             assert mix_predict(pool, row).tobytes() == sequential_mix(rules, row).tobytes()
 
 
