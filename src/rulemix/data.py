@@ -203,9 +203,12 @@ class TransformState:
     def check_features(self, X) -> np.ndarray:
         """X as a 2-d array with one column per feature, or DataError. It
         is copied, as floats, only when its dtype does not cast safely to
-        float; any memory order is kept."""
+        float; any memory order is kept. Complex X is refused: the cast
+        would drop the imaginary parts with no more than a warning."""
         X = np.asarray(X)
         if X.dtype != np.float64 and not np.can_cast(X.dtype, np.float64):
+            if X.dtype.kind == "c":
+                raise DataError(f"features must be real numbers, got dtype {X.dtype}")
             X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DataError(f"expected 2-d input with {self.dim} features, got shape {X.shape}")

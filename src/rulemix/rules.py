@@ -312,10 +312,17 @@ def _mix_terms(pool: Pool, X: np.ndarray, scale=None) -> Iterator[tuple[slice, n
     _match_matrix's one-row broadcast, and d = 1 matches on its one
     column in place, so neither is copied.
 
-    Each output is its rule's own X @ coefficients: a stacked product
-    rounds otherwise for d > 1. Chunks start at multiples of 4 rows, so
-    BLAS rounds each row as on all of X, and a lone last row joins the
-    chunk before it, since numpy takes a dot product for one row.
+    Every rule's outputs come from one matmul of the chunk with the
+    coefficients stacked as (k, d, 1). numpy loops over the k rules in C
+    and makes for each the BLAS call that rule alone would, a gemv on a
+    chunk or a dot on one row, on the same operands and strides, so each
+    output keeps the bits of its rule's own rows @ coefficients. The
+    (k, d) @ (d, m) product is one gemm, which blocks and orders the
+    sums otherwise and rounds differently for d > 1. An empty Pool's
+    (0, 0) coefficients do not broadcast against the rows and skip the
+    product. Chunks start at multiples of 4 rows, so BLAS rounds each row
+    as on all of X, and a lone last row joins the chunk before it, since
+    numpy takes a dot product for one row.
     """
     n, d = X.shape
     if len(pool) and pool.lowers.shape[1] != d:
@@ -334,8 +341,8 @@ def _mix_terms(pool: Pool, X: np.ndarray, scale=None) -> Iterator[tuple[slice, n
         rows = X[start:stop] if scale is None else scale(X[start:stop], scaled[:m])
         chunk = terms[:, :, :m]
         outputs = chunk[:, 0]
-        for coefficients, rule_outputs in zip(pool.coefficients, outputs):
-            np.matmul(rows, coefficients, out=rule_outputs)
+        if len(pool):
+            np.matmul(rows, pool.coefficients[:, :, None], out=outputs[:, :, None])
         outputs += intercepts
         outputs *= weights
         chunk[:, 1] = weights

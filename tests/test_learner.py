@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, is_dataclass
 from unittest import mock
 
@@ -336,6 +337,38 @@ def test_streamed_predict_equals_scaling_then_mixing_bitwise(case):
         expected = transform.inverse_target(mix_predict(model.selected_rules, transform.transform_features(X)))
         assert model.predict(X).tobytes() == expected.tobytes()
         assert model.predict_scaled(scaled).tobytes() == mix_predict(model.selected_rules, scaled).tobytes()
+
+
+REAL_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64, np.float16, np.float32, np.float64, np.longdouble]
+
+
+@pytest.mark.parametrize("dtype", REAL_DTYPES)
+def test_every_real_dtype_predicts_its_values_as_floats(dtype):
+    """Features of any real dtype scale and predict to the bits of the
+    same values as floats, with no warning."""
+    model = random_model(np.random.default_rng(40), 3, 6)
+    model.transform = TransformState(feature_min=np.zeros(3), feature_max=np.full(3, 12.0), target_mean=1.5, target_std=2.0)
+    raw = np.random.default_rng(41).uniform(0.0, 13.0, size=(50, 3))
+    X = raw > 6.0 if dtype is np.bool_ else raw.astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X_float = np.asarray(X, dtype=float)
+        assert model.transform.transform_features(X).tobytes() == model.transform.transform_features(X_float).tobytes()
+        assert model.predict(X).tobytes() == model.predict(X_float).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_complex_features_fail_closed_naming_the_dtype(dtype):
+    """Casting complex features to float would drop the imaginary parts
+    with only a ComplexWarning, so predict and transform_features refuse
+    them, also when every imaginary part is 0."""
+    model = random_model(np.random.default_rng(42), 4, 5)
+    for X in (np.array([[0.5 + 1j, 0.5, 0.5, 0.5]], dtype=dtype), np.full((3, 4), 0.5, dtype=dtype)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (model.predict, model.transform.transform_features):
+                with pytest.raises(DataError, match=f"dtype {np.dtype(dtype).name}"):
+                    call(X)
 
 
 def test_batch_predict_allocates_only_its_output():

@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -14,13 +16,16 @@ from rulemix import (
     Pool,
     PoolEvaluator,
     Rule,
+    SolutionIndividual,
     TrainedModel,
     TransformState,
     combine,
     fit_submodel,
+    load_model,
     match_mask,
     mix_predict,
     pseudo_accuracy,
+    save_model,
 )
 from rulemix.errors import EmptyMatchError, NotFittedError
 from rulemix.rules import MIX_EPS, _match_matrix
@@ -563,6 +568,89 @@ def test_one_row_mixes_eight_or_more_rules_in_pool_order():
     singles = np.array([model.predict(X_raw[i : i + 1])[0] for i in range(X.shape[0])])
     assert singles.tobytes() == batch.tobytes()
     assert mix_predict(pool[genome], X).tobytes() == sequential_mix(pool[genome], X).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_empty_pool_skips_the_stacked_product_and_predicts_zero(d):
+    """An empty Pool's (0, 0) coefficients do not broadcast against the
+    rows in the mixing kernel's one stacked matmul, and a selection of no
+    rules has (0, d) coefficients: both predict +0.0 at every row, and a
+    model that selects no rule predicts its training mean."""
+    gen = np.random.default_rng(d)
+    rules = [make_rule(*np.sort(gen.uniform(-1.0, 1.0, size=(2, d)), axis=0), gen.normal(size=d), gen.normal()) for _ in range(3)]
+    transform = TransformState(feature_min=np.zeros(d), feature_max=np.ones(d), target_mean=2.5, target_std=3.0)
+    for n in (0, 1, 5):
+        X = gen.uniform(-1.0, 1.0, size=(n, d))
+        for pool in (Pool(), Pool(rules)[np.zeros(3, dtype=bool)]):
+            predictions = mix_predict(pool, X)
+            assert predictions.shape == (n,)
+            assert all(p == 0.0 and math.copysign(1.0, p) > 0 for p in predictions.tolist())
+            genome = np.zeros(len(pool), dtype=bool)
+            elitist = SolutionIndividual(genome=genome, fitness=0.0, complexity=0, in_sample_mse=1.0)
+            model = TrainedModel(pool=pool, elitist=elitist, transform=transform, config=LearnerConfig())
+            assert model.predict(transform.inverse_features(X)).tolist() == [2.5] * n
+
+
+@st.composite
+def wide_pools(draw):
+    """0-64 rules of d = 1-8 features around query rows, some spanning
+    the whole box and some a row alone, over 1-5 rows or over just
+    under, at or over the unpatched 4096-row chunk or two, in C or
+    Fortran order, some rows on rule bounds. A non-empty pool may be read
+    back from a saved model, whose coefficients are read-only."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(0, 64))
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 4095, 4096, 4097, 8193]))
+    X = gen.uniform(-1.2, 1.2, size=(n, d))
+    centres = np.clip(X[gen.integers(n, size=k)], -1.0, 1.0)
+    widths = gen.uniform(0.0, 1.5, size=(k, 2, d))
+    widths[gen.random(k) < 0.1] = 0.0
+    lowers, uppers = np.maximum(centres - widths[:, 0], -1.0), np.minimum(centres + widths[:, 1], 1.0)
+    spanning = gen.random(k) < 0.1
+    lowers[spanning], uppers[spanning] = -1.0, 1.0
+    rules = [
+        make_rule(lower, upper, gen.normal(0.0, 3.0, size=d), gen.normal(), float(gen.choice([0.0, gen.uniform(0.0, 2.0)])), int(gen.integers(1, 500)))
+        for lower, upper in zip(lowers, uppers)
+    ]
+    if k:
+        for row in np.flatnonzero(gen.random(n) < 0.05):
+            i = int(gen.integers(k))
+            X[row] = np.where(gen.random(d) < 0.5, lowers[i], uppers[i])
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return rules, X, k > 0 and draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_pools())
+def test_stacked_mixing_keeps_each_rules_rounding_at_any_width(case):
+    """The mixing kernel computes every rule's outputs in one matmul over
+    the stacked coefficients, yet mix_predict, PoolEvaluator and rows
+    mixed alone give the bits of the per-rule loop, for d up to 8, up to
+    64 rules, the chunk boundary and its 4-row alignment crossed, and the
+    read-only coefficients of a loaded model."""
+    rules, X, saved = case
+    pool = Pool(rules)
+    if saved:
+        genome = np.ones(len(rules), dtype=bool)
+        elitist = SolutionIndividual(genome=genome, fitness=0.0, complexity=len(rules), in_sample_mse=1.0)
+        transform = TransformState(feature_min=np.zeros(X.shape[1]), feature_max=np.ones(X.shape[1]), target_mean=0.0, target_std=1.0)
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "model.json")
+            save_model(TrainedModel(pool=pool, elitist=elitist, transform=transform, config=LearnerConfig()), path)
+            pool = load_model(path).pool
+        assert not pool.coefficients.flags.writeable
+        assert pool.coefficients.tobytes() == Pool(rules).coefficients.tobytes()
+    expected = sequential_mix(rules, X)
+    assert mix_predict(pool, X).tobytes() == expected.tobytes()
+    for i in range(min(X.shape[0], 3)):
+        assert mix_predict(pool, X[i : i + 1]).tobytes() == sequential_mix(rules, X[i : i + 1]).tobytes()
+    if rules:
+        evaluator = PoolEvaluator(pool, X, np.zeros(X.shape[0]))
+        assert evaluator.predictions(np.ones(len(rules), dtype=bool)).tobytes() == expected.tobytes()
+        genome = np.random.default_rng(len(rules)).random(len(rules)) < 0.5
+        assert evaluator.predictions(genome).tobytes() == sequential_mix(pool[genome], X).tobytes()
 
 
 def reference_ridge_fits(lowers, uppers, X, y, ridge_coeff):
