@@ -201,15 +201,9 @@ class TransformState:
         return int(self.feature_min.shape[0])
 
     def check_features(self, X) -> np.ndarray:
-        """X as a 2-d array with one column per feature, or DataError. It
-        is copied, as floats, only when its dtype does not cast safely to
-        float; any memory order is kept. Complex X is refused: the cast
-        would drop the imaginary parts with no more than a warning."""
-        X = np.asarray(X)
-        if X.dtype != np.float64 and not np.can_cast(X.dtype, np.float64):
-            if X.dtype.kind == "c":
-                raise DataError(f"features must be real numbers, got dtype {X.dtype}")
-            X = np.asarray(X, dtype=float)
+        """X through _real, a 2-d array with one column per feature, or
+        DataError; any memory order is kept."""
+        X = _real(X, "features")
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DataError(f"expected 2-d input with {self.dim} features, got shape {X.shape}")
         return X
@@ -263,16 +257,26 @@ class TransformState:
         return y
 
 
+def _real(values, name: str) -> np.ndarray:
+    """values as an array, copied as floats only if its dtype does not cast
+    safely to float; complex values, whose imaginary parts a cast drops, raise DataError."""
+    values = np.asarray(values)
+    if values.dtype.kind == "c":
+        raise DataError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values if values.dtype == np.float64 or np.can_cast(values.dtype, np.float64) else values.astype(float)
+
+
 def fit_transform(X, y) -> tuple[TransformState, np.ndarray, np.ndarray]:
     """Fit scaling statistics on (X, y) and return them with the scaled data.
 
-    Finite data whose range overflows a float fails here, naming the
-    feature or the target: a scaled value or the target standard
-    deviation that is not finite (an infinite span or mean makes scaled
-    values NaN), and a target whose standard deviation underflows to 0.
+    Complex data fails here (_real), and so does finite data whose range
+    overflows a float, naming the feature or the target: a scaled value
+    or the target standard deviation that is not finite (an infinite span
+    or mean makes scaled values NaN), and a target whose standard
+    deviation underflows to 0.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X = np.asarray(_real(X, "features"), dtype=float)
+    y = np.asarray(_real(y, "target"), dtype=float)
     if X.ndim != 2:
         raise DataError(f"X must be 2-d, got shape {X.shape}")
     if y.ndim != 1 or y.shape[0] != X.shape[0]:

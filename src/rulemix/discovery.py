@@ -153,8 +153,9 @@ def discover_rules(
 
     Each run draws from its own stream derived from (master_seed,
     cycle_index, run index), so results do not depend on the order the
-    runs execute in. A Fortran-ordered X gives the same rules and, for
-    d > 1, matches them many times faster.
+    runs execute in. A Fortran-ordered X gives the same rules, faster for
+    d > 1: 3 default cycles on 5,000 4-d rows took 0.156 s against 0.213 s
+    on C order (2-vCPU machine, BLAS on one thread, fastest of 5).
     """
     if X.shape[0] != y.shape[0] or X.shape[0] != np.asarray(errors).shape[0]:
         raise ValueError("X, y, and errors must have one entry per training example")

@@ -130,8 +130,6 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
     """Train on raw data; scaling statistics come from this data only."""
     if config is None:
         config = LearnerConfig()
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     transform, X_scaled, y_scaled = fit_transform(X, y)
     # Rule discovery only matches and picks rows, which is fastest on a
     # column-major copy; mixing reads the C-ordered X_scaled

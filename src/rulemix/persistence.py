@@ -12,15 +12,14 @@ through a temporary file, so a failed save never leaves a torn file.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .composition import SolutionIndividual
 from .data import TransformState, _atomic_open
-from .errors import ConfigError, ModelFormatError, ModelVersionError
-from .learner import LearnerConfig, TrainedModel, config_from_dict, config_to_dict
-from .rules import COLUMNS, Pool, Rule, _readonly, _volume
+from .errors import ConfigError, ModelFormatError, ModelVersionError, _number
+from .learner import TrainedModel, config_from_dict, config_to_dict
+from .rules import COLUMNS, Pool, _readonly, _volume
 
 FORMAT_VERSION = 1
 
@@ -67,26 +66,17 @@ def save_model(model: TrainedModel, path) -> None:
     _write_json(model_document(model), path)
 
 
-def _finite(numbers) -> bool:
-    """Whether every parsed JSON number is a finite float; an integer
-    literal beyond the float range is not."""
-    try:
-        return all(map(math.isfinite, numbers))
-    except OverflowError:
-        return False
-
-
 def _require(doc: dict, key: str, kind, where: str):
     if not isinstance(doc, dict) or key not in doc:
         raise ModelFormatError(f"model file is missing {where}.{key}" if where else f"model file is missing {key}")
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite((value,)):
-            raise ModelFormatError(f"{where + '.' if where else ''}{key} must be a finite number")
+        if not _number(value):
+            raise ModelFormatError(f"{where}.{key} must be a finite number")
         return float(value)
     if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int) or not _finite((value,)):
-            raise ModelFormatError(f"{where + '.' if where else ''}{key} must be an integer in the float range")
+        if not _number(value, (int,)):
+            raise ModelFormatError(f"{where}.{key} must be an integer in the float range")
         return value
     if not isinstance(value, kind):
         raise ModelFormatError(f"{where + '.' if where else ''}{key} must be a {kind.__name__}")
@@ -95,42 +85,44 @@ def _require(doc: dict, key: str, kind, where: str):
 
 def _float_array(doc: dict, key: str, where: str, length: int | None = None) -> np.ndarray:
     raw = _require(doc, key, list, where)
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw):
-        raise ModelFormatError(f"{where}.{key} must contain only numbers")
     if length is not None and len(raw) != length:
         raise ModelFormatError(f"{where}.{key} must have length {length}, got {len(raw)}")
-    if not _finite(raw):
+    if not all(map(_number, raw)):
         raise ModelFormatError(f"{where}.{key} must contain only finite numbers")
     return _readonly(raw)
 
 
-def _first_rule(bad: np.ndarray, problem: str) -> None:
-    """Reject the pool if any rule is flagged in bad, naming the first."""
-    if bad.any():
-        raise ModelFormatError(f"pool[{int(np.argmax(bad))}]{problem}")
+def _first_rule(bad: list, problem: str, values=()) -> None:
+    """Reject the pool if a rule is flagged in bad, naming the first; its value fills problem's {}."""
+    if True in bad:
+        index = bad.index(True)
+        raise ModelFormatError(f"pool[{index}]" + problem.format(*values[index : index + 1]))
 
 
 def _pool_from_doc(pool_doc: list, dim: int) -> Pool:
-    """The stacked pool of a model document. Types, lengths and
-    finiteness are checked rule by rule as they are read, the values'
-    ranges on the stacked arrays; an error names the first rule at fault."""
+    """The stacked pool of a model document, read a column at a time: in
+    RULE_KEYS order, one field of every rule is checked whole (present,
+    type, length, finite), then ranges and volumes on the stacked arrays.
+    An error names pool[i] and the field: the rule at fault if only one
+    is, else the first rule to fail the first failing check."""
     if not pool_doc:
         raise ModelFormatError("pool must contain at least one rule")
-    rules = []
-    kinds = (float, float, int, float, float)
-    for index, rule_doc in enumerate(pool_doc):
-        where = f"pool[{index}]"
-        if not isinstance(rule_doc, dict):
-            raise ModelFormatError(f"{where} must be an object")
-        arrays = [_float_array(rule_doc, key, where, length=dim) for key in RULE_KEYS[:3]]
-        rules.append(Rule(*arrays, *(_require(rule_doc, key, kind, where) for key, kind in zip(RULE_KEYS[3:], kinds))))
-    pool = Pool(rules)
+    _first_rule([not isinstance(rule, dict) for rule in pool_doc], " must be an object")
+    # what a field must be, and the test of one rule's value, as in errors.py
+    kinds = dict.fromkeys(RULE_KEYS[:3], (f"{dim} finite numbers", lambda v: isinstance(v, list) and len(v) == dim and all(map(_number, v))))
+    kinds["experience"] = ("an integer in [1, 2**53]", lambda v: _number(v, (int,)) and 1 <= v <= 2**53)
+    columns = []
+    for key in RULE_KEYS:
+        _first_rule([key not in rule for rule in pool_doc], f".{key} is missing")
+        column = [rule[key] for rule in pool_doc]
+        what, ok = kinds.get(key, ("a finite number", _number))
+        _first_rule([not ok(value) for value in column], f".{key} must be {what}")
+        columns.append(column)
+    pool = Pool._from_columns(columns)
     lowers, uppers = pool.lowers, pool.uppers
-    _first_rule(((uppers < lowers) | (lowers < -1.0) | (uppers > 1.0)).any(axis=1), " bounds must satisfy -1 <= lower <= upper <= 1")
-    _first_rule(pool.experience < 1, ".experience must be at least 1")
-    _first_rule(pool.in_sample_mse < 0, ".mse must be non-negative")
-    mismatch = pool.volume != _volume(lowers, uppers)
-    _first_rule(mismatch, f".volume {float(pool.volume[np.argmax(mismatch)])!r} does not match its bounds")
+    _first_rule(((uppers < lowers) | (lowers < -1.0) | (uppers > 1.0)).any(axis=1).tolist(), " bounds must satisfy -1 <= lower <= upper <= 1")
+    _first_rule((pool.in_sample_mse < 0).tolist(), ".mse must be non-negative")
+    _first_rule((pool.volume != _volume(lowers, uppers)).tolist(), ".volume {!r} does not match its bounds", pool.volume.tolist())
     return pool
 
 
@@ -138,9 +130,7 @@ def document_to_model(doc) -> TrainedModel:
     """Rebuild a TrainedModel from a parsed model document."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must contain a JSON object at the top level")
-    if "format_version" not in doc:
-        raise ModelFormatError("model file is missing format_version")
-    version = doc["format_version"]
+    version = _require(doc, "format_version", object, "")
     if version != FORMAT_VERSION:
         raise ModelVersionError(f"unsupported model format version {version!r}; this build reads version {FORMAT_VERSION}")
 

@@ -280,6 +280,14 @@ class Pool:
             old = getattr(self, name)
             setattr(self, name, _readonly(np.concatenate([old, column]) if len(old) else column))
 
+    @classmethod
+    def _from_columns(cls, columns) -> Pool:
+        """The pool of read-only float copies of columns, in COLUMNS order."""
+        pool = cls()
+        for name, column in zip(COLUMNS, columns):
+            setattr(pool, name, _readonly(column))
+        return pool
+
     def __len__(self) -> int:
         return int(self.intercepts.shape[0])
 
@@ -288,10 +296,7 @@ class Pool:
         if isinstance(key, (int, np.integer)):
             intercept, mse, experience, volume, fitness = map(float, columns[3:])
             return Rule(*columns[:3], intercept, mse, int(experience), volume, fitness)
-        chosen = Pool()
-        for name, column in zip(COLUMNS, columns):
-            setattr(chosen, name, _readonly(column))
-        return chosen
+        return Pool._from_columns(columns)
 
     def __iter__(self) -> Iterator[Rule]:
         return (self[i] for i in range(len(self)))

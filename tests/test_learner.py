@@ -345,7 +345,8 @@ REAL_DTYPES = [np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uin
 @pytest.mark.parametrize("dtype", REAL_DTYPES)
 def test_every_real_dtype_predicts_its_values_as_floats(dtype):
     """Features of any real dtype scale and predict to the bits of the
-    same values as floats, with no warning."""
+    same values as floats, and fit the model of those floats, with no
+    warning."""
     model = random_model(np.random.default_rng(40), 3, 6)
     model.transform = TransformState(feature_min=np.zeros(3), feature_max=np.full(3, 12.0), target_mean=1.5, target_std=2.0)
     raw = np.random.default_rng(41).uniform(0.0, 13.0, size=(50, 3))
@@ -355,18 +356,22 @@ def test_every_real_dtype_predicts_its_values_as_floats(dtype):
         X_float = np.asarray(X, dtype=float)
         assert model.transform.transform_features(X).tobytes() == model.transform.transform_features(X_float).tobytes()
         assert model.predict(X).tobytes() == model.predict(X_float).tobytes()
+        y = raw.sum(axis=1)
+        assert model_document(fit(X, y, small_config())) == model_document(fit(X_float, y, small_config()))
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_complex_features_fail_closed_naming_the_dtype(dtype):
     """Casting complex features to float would drop the imaginary parts
-    with only a ComplexWarning, so predict and transform_features refuse
-    them, also when every imaginary part is 0."""
+    with only a ComplexWarning, so predict, transform_features and fit
+    refuse them, and fit a complex target, also when every imaginary
+    part is 0."""
     model = random_model(np.random.default_rng(42), 4, 5)
     for X in (np.array([[0.5 + 1j, 0.5, 0.5, 0.5]], dtype=dtype), np.full((3, 4), 0.5, dtype=dtype)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (model.predict, model.transform.transform_features):
+            fits = (lambda X: fit(X, np.arange(len(X), dtype=float)), lambda X: fit(X.real, X[:, 0]))
+            for call in (model.predict, model.transform.transform_features, *fits):
                 with pytest.raises(DataError, match=f"dtype {np.dtype(dtype).name}"):
                     call(X)
 

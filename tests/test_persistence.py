@@ -30,7 +30,7 @@ from rulemix import (
 from rulemix.benchmark import BenchmarkReport, RunRecord, write_records_csv
 from rulemix.cli import EXIT_DATA, main
 from rulemix.errors import DataError, ModelFormatError, ModelVersionError
-from rulemix.persistence import FORMAT_VERSION, document_to_model
+from rulemix.persistence import FORMAT_VERSION, RULE_KEYS, document_to_model
 
 from conftest import linear_data, small_config
 
@@ -390,16 +390,34 @@ def test_save_load_round_trip_of_arbitrary_pools(tmp_path_factory, case):
     assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
 
 
-FAULTS = ("NaN", "Infinity", "-Infinity", "below the box", "above the box", "lower above upper", "huge experience")
+FAULTS = (
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    "below the box",
+    "above the box",
+    "lower above upper",
+    "huge experience",
+    "missing field",
+    "null",
+    "true",
+    "string",
+    "wrong length",
+    "not an object",
+    "float experience",
+    "experience 2**63",
+)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_a_bad_value_in_any_one_rule_fails_closed(trained, tmp_path_factory, data):
-    """A model file with NaN or Inf in any field of one rule, a bound
-    outside [-1, 1], a lower bound above the upper one or an experience
-    beyond the float range fails to load with an error that names that
-    rule, and `rulemix predict` exits with the data error code."""
+    """A model file with NaN, Inf, null, true or a string in any field
+    of one rule, a missing field, a bound outside [-1, 1], a lower bound
+    above the upper one, a bounds or coefficients list of the wrong
+    length, a rule that is not an object or an experience that is not an
+    integer a float holds exactly fails to load with an error that names
+    that rule, and `rulemix predict` exits with the data error code."""
     model, _ = trained
     doc = model_document(model)
     index = data.draw(st.integers(0, len(doc["pool"]) - 1), label="rule")
@@ -419,6 +437,24 @@ def test_a_bad_value_in_any_one_rule_fails_closed(trained, tmp_path_factory, dat
         rule["upper"][j] = 1.0 + step
     elif fault == "huge experience":
         rule["experience"] = 10**400
+    elif fault == "missing field":
+        del rule[data.draw(st.sampled_from(RULE_KEYS), label="field")]
+    elif fault in ("null", "true", "string"):
+        value = {"null": None, "true": True, "string": "0.5"}[fault]
+        key = data.draw(st.sampled_from(RULE_KEYS), label="field")
+        if isinstance(rule[key], list) and data.draw(st.booleans(), label="in the list"):
+            rule[key][j] = value
+        else:
+            rule[key] = value
+    elif fault == "wrong length":
+        key = data.draw(st.sampled_from(RULE_KEYS[:3]), label="field")
+        rule[key] = rule[key][:-1] if data.draw(st.booleans(), label="shorter") else rule[key] + [0.0]
+    elif fault == "not an object":
+        doc["pool"][index] = data.draw(st.sampled_from([None, [], "rule", 1.0, list(rule.values())]), label="rule value")
+    elif fault == "float experience":
+        rule["experience"] = float(rule["experience"])
+    elif fault == "experience 2**63":
+        rule["experience"] = 2**63
     else:
         rule["lower"][j] = rule["upper"][j] + step
     directory = tmp_path_factory.mktemp("bad-rule")
