@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, _atomic_open, monte_carlo_split
-from .errors import DataError, DegenerateTestError
+from .errors import DegenerateTestError
 from .learner import LearnerConfig, config_to_dict, fit
 from .persistence import _write_json
 from .rng import derive_seed

@@ -20,7 +20,8 @@ from .benchmark import BenchmarkReport, format_summary_text, report_document, ru
 from .data import Dataset, _atomic_open, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
 from .describe import describe_model, describe_rule
 from .errors import (
-    NON_NEGATIVE, OPEN_FRACTION, POSITIVE_INT, SAMPLE_COUNT, SEED, ConfigError, DataError, ModelFormatError, check, check_settings, setting
+    NON_EMPTY_OBJECT, NON_NEGATIVE, OPEN_FRACTION, OPTIONAL_STRING, POSITIVE_INT, SAMPLE_COUNT, SEED, STRING, ConfigError, DataError,
+    ModelFormatError, _read, check, check_settings, setting
 )
 from .learner import LearnerConfig, _section_from_dict, config_from_dict, config_to_dict, fit
 from .persistence import load_model, model_document, save_model
@@ -29,6 +30,10 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
+
+_REGISTRY = ('an object whose one key is "datasets"', lambda v: isinstance(v, dict) and v.keys() == {"datasets"})
+_ENTRY_KINDS = {"path": STRING, "target_column": OPTIONAL_STRING}
+_DATASET = ('an object of "path" and an optional "target_column"', lambda v: v.keys() <= _ENTRY_KINDS.keys())
 
 
 @dataclass(frozen=True)
@@ -164,33 +169,21 @@ def cmd_predict(args) -> int:
 
 
 def _load_registry(path: str) -> list[dict]:
-    """Parse a dataset registry: {"datasets": {name: path-or-entry}}.
-
-    Each entry is either a CSV path string or an object with "path" and
-    an optional "target_column". Insertion order is preserved.
-    """
+    """Parse a dataset registry: {"datasets": {name: entry}}, in order. An
+    entry is an object with a string "path" and an optional
+    "target_column", null or a string; any other entry is the path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("datasets"), dict):
-        raise ConfigError(f"{path}: registry must be a JSON object with a 'datasets' mapping")
-    unknown = sorted(set(doc) - {"datasets"})
-    if unknown:
-        raise ConfigError(f"{path}: unknown registry key {unknown[0]!r}")
-    if not doc["datasets"]:
-        raise ConfigError(f"{path}: registry lists no datasets")
+    check(path, doc, _REGISTRY)
     entries = []
-    for name, value in doc["datasets"].items():
-        if isinstance(value, str):
-            value = {"path": value}
-        if not isinstance(value, dict) or "path" not in value:
-            raise ConfigError(f"{path}: dataset {name!r} needs a path")
-        bad = sorted(set(value) - {"path", "target_column"})
-        if bad:
-            raise ConfigError(f"{path}: dataset {name!r} has unknown key {bad[0]!r}")
-        entries.append({"name": name, "path": value["path"], "target_column": value.get("target_column")})
+    for name, entry in _read(doc, "datasets", NON_EMPTY_OBJECT, ConfigError, f"{path}: ").items():
+        where = f"{path}: datasets.{name}"
+        entry = check(where, entry if isinstance(entry, dict) else {"path": entry}, _DATASET)
+        values = {key: _read(entry, key, kind, ConfigError, f"{where}.") for key, kind in _ENTRY_KINDS.items()}
+        entries.append({"name": name, **values})
     return entries
 
 
@@ -379,10 +372,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, ModelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, ModelFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and the check of every setting."""
+"""Exception types raised across the package, and the check of every setting and document field."""
 
 import math
 import reprlib
@@ -51,7 +51,7 @@ def _number(value, types=(int, float, np.integer, np.floating)) -> bool:
         return False
 
 
-# The kinds of setting: what a value must be, and the test of a value
+# The kinds of setting and document field: what a value must be, and the test of a value
 POSITIVE_INT = ("a positive integer", lambda v: _number(v, (int, np.integer)) and v >= 1)
 SAMPLE_COUNT = ("an integer of at least 2", lambda v: _number(v, (int, np.integer)) and v >= 2)
 SEED = ("an integer in [0, 2**64)", lambda v: _number(v, (int, np.integer)) and 0 <= v < 2**64)
@@ -60,6 +60,18 @@ POSITIVE = ("a finite positive number", lambda v: _number(v) and v > 0)
 PROBABILITY = ("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1)
 OPTIONAL_PROBABILITY = ("null or a number in [0, 1]", lambda v: v is None or PROBABILITY[1](v))
 OPEN_FRACTION = ("a number strictly between 0 and 1", lambda v: _number(v) and 0 < v < 1)
+FINITE = ("a finite number", _number)
+STRING = ("a string", lambda v: isinstance(v, str))
+OPTIONAL_STRING = ("null or a string", lambda v: v is None or isinstance(v, str))
+OBJECT = ("an object", lambda v: isinstance(v, dict))
+NON_EMPTY_OBJECT = ("a non-empty object", lambda v: isinstance(v, dict) and len(v) > 0)
+NON_EMPTY_LIST = ("a non-empty list", lambda v: isinstance(v, list) and len(v) > 0)
+NUMBERS = ("a non-empty list of finite numbers", lambda v: NON_EMPTY_LIST[1](v) and all(map(_number, v)))
+
+
+def _numbers(length: int):
+    """The kind of a list of length finite numbers."""
+    return (f"{length} finite numbers", lambda v: isinstance(v, list) and len(v) == length and all(map(_number, v)))
 
 
 def setting(default, kind, key: str | None = None):
@@ -75,10 +87,19 @@ def setting_key(f) -> str:
     return f.metadata.get("key", f.name)
 
 
-def check(name: str, value, kind) -> None:
-    """Raise ConfigError, naming the setting, unless value is of the kind."""
+def check(name: str, value, kind, error=ConfigError):
+    """value, if it is of the kind; else raise error naming the setting or field."""
     if not kind[1](value):
-        raise ConfigError(f"{name} must be {kind[0]}, got {reprlib.repr(value)}")
+        raise error(f"{name} must be {kind[0]}, got {reprlib.repr(value)}")
+    return value
+
+
+def _read(doc: dict, key: str, kind, error, where: str = ""):
+    """doc[key], if it is of the kind; else raise error naming the field,
+    where + key. A key whose kind admits null may be left out."""
+    if key not in doc and not kind[1](None):
+        raise error(f"{where}{key} is missing")
+    return check(where + key, doc.get(key), kind, error)
 
 
 def check_settings(config) -> None:

@@ -137,11 +137,12 @@ def fit(X, y, config: LearnerConfig | None = None) -> TrainedModel:
 
     pool = Pool()
     elitist: SolutionIndividual | None = None
-    # each cycle's GA grows the previous cycle's evaluator
+    # each cycle's GA grows the previous cycle's evaluator, which also
+    # mixes the elitist's training predictions of the next cycle
     evaluators: list[PoolEvaluator] = []
     history: list[float] = []
     for cycle in range(config.n_iter):
-        predictions = 0.0 if elitist is None else mix_predict(pool[elitist.genome], X_scaled)
+        predictions = 0.0 if elitist is None else evaluators[0].predictions(elitist.genome)
         errors = (y_scaled - predictions) ** 2
         pool.extend(
             discover_rules(

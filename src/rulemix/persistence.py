@@ -12,20 +12,34 @@ through a temporary file, so a failed save never leaves a torn file.
 from __future__ import annotations
 
 import json
-
-import numpy as np
+import reprlib
 
 from .composition import SolutionIndividual
 from .data import TransformState, _atomic_open
-from .errors import ConfigError, ModelFormatError, ModelVersionError, _number
+from .errors import (
+    FINITE, NON_EMPTY_LIST, NON_NEGATIVE, NUMBERS, OBJECT, POSITIVE, PROBABILITY, ConfigError, ModelFormatError, ModelVersionError,
+    _number, _numbers, _read, check
+)
 from .learner import TrainedModel, config_from_dict, config_to_dict
 from .rules import COLUMNS, Pool, _readonly, _volume
 
 FORMAT_VERSION = 1
 
 
-# A rule's keys in a model file, in the order of rules.COLUMNS
-RULE_KEYS = ("lower", "upper", "coefficients", "intercept", "mse", "experience", "volume", "fitness")
+# What each of a rule's keys in a model file must be, in the order of
+# rules.COLUMNS; _numbers is given the file's d
+_RULE_KINDS = {
+    "lower": _numbers,
+    "upper": _numbers,
+    "coefficients": _numbers,
+    "intercept": FINITE,
+    "mse": NON_NEGATIVE,
+    "experience": ("an integer in [1, 2**53]", lambda v: _number(v, (int,)) and 1 <= v <= 2**53),
+    "volume": FINITE,
+    "fitness": PROBABILITY,
+}
+RULE_KEYS = tuple(_RULE_KINDS)
+_VERSION = (f"{FORMAT_VERSION}, the version this build reads", lambda v: type(v) is int and v == FORMAT_VERSION)
 
 
 def _pool_doc(pool: Pool) -> list[dict]:
@@ -66,109 +80,69 @@ def save_model(model: TrainedModel, path) -> None:
     _write_json(model_document(model), path)
 
 
-def _require(doc: dict, key: str, kind, where: str):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ModelFormatError(f"model file is missing {where}.{key}" if where else f"model file is missing {key}")
-    value = doc[key]
-    if kind is float:
-        if not _number(value):
-            raise ModelFormatError(f"{where}.{key} must be a finite number")
-        return float(value)
-    if kind is int:
-        if not _number(value, (int,)):
-            raise ModelFormatError(f"{where}.{key} must be an integer in the float range")
-        return value
-    if not isinstance(value, kind):
-        raise ModelFormatError(f"{where + '.' if where else ''}{key} must be a {kind.__name__}")
-    return value
-
-
-def _float_array(doc: dict, key: str, where: str, length: int | None = None) -> np.ndarray:
-    raw = _require(doc, key, list, where)
-    if length is not None and len(raw) != length:
-        raise ModelFormatError(f"{where}.{key} must have length {length}, got {len(raw)}")
-    if not all(map(_number, raw)):
-        raise ModelFormatError(f"{where}.{key} must contain only finite numbers")
-    return _readonly(raw)
-
-
 def _first_rule(bad: list, problem: str, values=()) -> None:
     """Reject the pool if a rule is flagged in bad, naming the first; its value fills problem's {}."""
     if True in bad:
         index = bad.index(True)
-        raise ModelFormatError(f"pool[{index}]" + problem.format(*values[index : index + 1]))
+        raise ModelFormatError(f"pool[{index}]" + problem.format(*map(reprlib.repr, values[index : index + 1])))
 
 
 def _pool_from_doc(pool_doc: list, dim: int) -> Pool:
     """The stacked pool of a model document, read a column at a time: in
-    RULE_KEYS order, one field of every rule is checked whole (present,
-    type, length, finite), then ranges and volumes on the stacked arrays.
-    An error names pool[i] and the field: the rule at fault if only one
-    is, else the first rule to fail the first failing check."""
-    if not pool_doc:
-        raise ModelFormatError("pool must contain at least one rule")
-    _first_rule([not isinstance(rule, dict) for rule in pool_doc], " must be an object")
-    # what a field must be, and the test of one rule's value, as in errors.py
-    kinds = dict.fromkeys(RULE_KEYS[:3], (f"{dim} finite numbers", lambda v: isinstance(v, list) and len(v) == dim and all(map(_number, v))))
-    kinds["experience"] = ("an integer in [1, 2**53]", lambda v: _number(v, (int,)) and 1 <= v <= 2**53)
+    RULE_KEYS order, one field of every rule is checked whole against its
+    kind, then bounds and volumes on the stacked arrays. An error names
+    pool[i] and the field: the rule at fault if only one is, else the
+    first rule to fail the first failing check."""
+    _first_rule([not isinstance(rule, dict) for rule in pool_doc], " must be an object, got {}", pool_doc)
     columns = []
-    for key in RULE_KEYS:
+    for key, kind in _RULE_KINDS.items():
         _first_rule([key not in rule for rule in pool_doc], f".{key} is missing")
         column = [rule[key] for rule in pool_doc]
-        what, ok = kinds.get(key, ("a finite number", _number))
-        _first_rule([not ok(value) for value in column], f".{key} must be {what}")
+        kind = kind(dim) if callable(kind) else kind
+        if not all(map(kind[1], column)):
+            index = [not kind[1](value) for value in column].index(True)
+            check(f"pool[{index}].{key}", column[index], kind, ModelFormatError)
         columns.append(column)
     pool = Pool._from_columns(columns)
     lowers, uppers = pool.lowers, pool.uppers
     _first_rule(((uppers < lowers) | (lowers < -1.0) | (uppers > 1.0)).any(axis=1).tolist(), " bounds must satisfy -1 <= lower <= upper <= 1")
-    _first_rule((pool.in_sample_mse < 0).tolist(), ".mse must be non-negative")
-    _first_rule((pool.volume != _volume(lowers, uppers)).tolist(), ".volume {!r} does not match its bounds", pool.volume.tolist())
+    _first_rule((pool.volume != _volume(lowers, uppers)).tolist(), ".volume {} does not match its bounds", pool.volume.tolist())
     return pool
 
 
 def document_to_model(doc) -> TrainedModel:
     """Rebuild a TrainedModel from a parsed model document."""
-    if not isinstance(doc, dict):
-        raise ModelFormatError("model file must contain a JSON object at the top level")
-    version = _require(doc, "format_version", object, "")
-    if version != FORMAT_VERSION:
-        raise ModelVersionError(f"unsupported model format version {version!r}; this build reads version {FORMAT_VERSION}")
+    check("model file", doc, OBJECT, ModelFormatError)
+    _read(doc, "format_version", _VERSION, ModelVersionError)
 
-    transform_doc = _require(doc, "transform", dict, "")
-    feature_min = _float_array(transform_doc, "feature_min", "transform")
-    feature_max = _float_array(transform_doc, "feature_max", "transform", length=feature_min.shape[0])
-    if feature_min.shape[0] == 0:
-        raise ModelFormatError("transform.feature_min must not be empty")
-    if np.any(feature_max <= feature_min):
-        raise ModelFormatError("transform feature ranges must have positive width")
-    target_std = _require(transform_doc, "target_std", float, "transform")
-    if not target_std > 0:
-        raise ModelFormatError("transform.target_std must be positive")
+    transform_doc = _read(doc, "transform", OBJECT, ModelFormatError)
+    feature_min = _read(transform_doc, "feature_min", NUMBERS, ModelFormatError, "transform.")
+    numbers = _numbers(len(feature_min))
+    above_min = (f"{numbers[0]} above feature_min", lambda v: numbers[1](v) and all(a > b for a, b in zip(v, feature_min)))
+    feature_max = _read(transform_doc, "feature_max", above_min, ModelFormatError, "transform.")
     transform = TransformState(
-        feature_min=feature_min,
-        feature_max=feature_max,
-        target_mean=_require(transform_doc, "target_mean", float, "transform"),
-        target_std=target_std,
+        feature_min=_readonly(feature_min),
+        feature_max=_readonly(feature_max),
+        target_mean=float(_read(transform_doc, "target_mean", FINITE, ModelFormatError, "transform.")),
+        target_std=float(_read(transform_doc, "target_std", POSITIVE, ModelFormatError, "transform.")),
     )
-    pool = _pool_from_doc(_require(doc, "pool", list, ""), transform.dim)
+    pool = _pool_from_doc(_read(doc, "pool", NON_EMPTY_LIST, ModelFormatError), transform.dim)
 
-    elitist_doc = _require(doc, "elitist", dict, "")
-    bits = _require(elitist_doc, "genome_bits", str, "elitist")
-    if len(bits) != len(pool) or set(bits) - {"0", "1"}:
-        raise ModelFormatError(f"elitist.genome_bits must be a string of {len(pool)} 0/1 characters")
-    genome = _readonly([c == "1" for c in bits], bool)
-    complexity = _require(elitist_doc, "complexity", int, "elitist")
-    if complexity != int(np.count_nonzero(genome)):
-        raise ModelFormatError("elitist.complexity does not match genome_bits")
+    elitist_doc = _read(doc, "elitist", OBJECT, ModelFormatError)
+    n = len(pool)
+    genome_bits = (f"a string of {n} 0/1 characters", lambda v: isinstance(v, str) and len(v) == n and not set(v) - {"0", "1"})
+    bits = _read(elitist_doc, "genome_bits", genome_bits, ModelFormatError, "elitist.")
+    count = bits.count("1")
+    complexity = (f"{count}, the number of 1s in genome_bits", lambda v: _number(v, (int,)) and v == count)
     elitist = SolutionIndividual(
-        genome=genome,
-        fitness=_require(elitist_doc, "fitness", float, "elitist"),
-        complexity=complexity,
-        in_sample_mse=_require(elitist_doc, "mse", float, "elitist"),
+        genome=_readonly([c == "1" for c in bits], bool),
+        fitness=float(_read(elitist_doc, "fitness", PROBABILITY, ModelFormatError, "elitist.")),
+        complexity=_read(elitist_doc, "complexity", complexity, ModelFormatError, "elitist."),
+        in_sample_mse=float(_read(elitist_doc, "mse", NON_NEGATIVE, ModelFormatError, "elitist.")),
     )
 
     try:
-        config = config_from_dict(_require(doc, "config", dict, ""))
+        config = config_from_dict(_read(doc, "config", OBJECT, ModelFormatError))
     except ConfigError as exc:
         raise ModelFormatError(f"bad config section: {exc}") from exc
 

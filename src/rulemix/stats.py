@@ -28,17 +28,9 @@ class WilcoxonResult(NamedTuple):
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties replaced by the mean of their positions."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    sorted_values = values[order]
-    start = 0
-    while start < values.shape[0]:
-        stop = start
-        while stop + 1 < values.shape[0] and sorted_values[stop + 1] == sorted_values[start]:
-            stop += 1
-        ranks[order[start : stop + 1]] = (start + stop) / 2.0 + 1.0
-        start = stop + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[inverse]
 
 
 def _exact_two_sided_p(ranks: np.ndarray, statistic: float) -> float:

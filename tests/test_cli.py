@@ -578,6 +578,26 @@ class TestBenchmark:
         registry.write_text(json.dumps({"wrong": []}))
         assert main(["benchmark", str(registry), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"path": ["d.csv"]}, "datasets.a.path must be a string, got ['d.csv']"),
+            (["d.csv"], "datasets.a.path must be a string, got ['d.csv']"),
+            ({"path": "d.csv", "target_column": 3}, "datasets.a.target_column must be null or a string, got 3"),
+            ({"path": "d.csv", "target_column": True}, "datasets.a.target_column must be null or a string, got True"),
+            ({"target_column": "y"}, "datasets.a.path is missing"),
+        ],
+    )
+    def test_a_mistyped_registry_entry_is_config_error(self, tmp_path, capsys, entry, message):
+        """A registry entry whose path is not a string, or whose target
+        column is neither null nor a string, is refused before any dataset
+        loads, naming the field and the value it got."""
+        registry = self.registry_for(tmp_path, names=("d",))
+        registry.write_text(json.dumps({"datasets": {"a": entry}}))
+        assert main(self.benchmark_args(registry, tmp_path / "b")) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {registry}: {message}\n"
+        assert not (tmp_path / "b").exists()
+
     def test_bad_benchmark_setting_is_config_error(self, tmp_path):
         registry = self.registry_for(tmp_path, names=("one",))
         args = ["benchmark", str(registry), "--out", str(tmp_path / "b"), "--set", "benchmark.n_seeds=0"]

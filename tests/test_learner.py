@@ -410,8 +410,9 @@ def test_carried_evaluator_changes_no_bit_of_a_fit(d, seed, n_rules):
     carried = fit(X, y, config)
     compose = rulemix.learner.compose_solution
 
-    def compose_afresh(*args, evaluators=None, **kwargs):
-        return compose(*args, **kwargs)
+    def compose_afresh(*args, evaluators, **kwargs):
+        evaluators.clear()
+        return compose(*args, evaluators=evaluators, **kwargs)
 
     with mock.patch.object(rulemix.learner, "compose_solution", compose_afresh):
         afresh = fit(X, y, config)

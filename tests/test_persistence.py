@@ -470,6 +470,51 @@ def test_a_bad_value_in_any_one_rule_fails_closed(trained, tmp_path_factory, dat
     assert f"pool[{index}]" in stderr.getvalue()
 
 
+NAN, INF = float("nan"), float("inf")
+# bad values of each transform and elitist field, a few as functions of
+# the saved value; with every field, a missing key is also drawn
+BAD_FIELDS = {
+    "transform.feature_min": [[], None, True, "0.5", {}, lambda v: [NAN] + v[1:], lambda v: v[:-1] + ["0.5"]],
+    "transform.feature_max": [None, [], lambda v: v[:-1], lambda v: v + [1.0], lambda v: [INF] + v[1:], lambda v: [-1e300] + v[1:]],
+    "transform.target_mean": [NAN, INF, -INF, None, True, "0.5", [0.0]],
+    "transform.target_std": [0.0, -1.0, -0.0, NAN, INF, None, True, "0.5"],
+    "elitist.genome_bits": [None, 7, [], lambda v: v + "0", lambda v: v[:-1], lambda v: "2" + v[1:], lambda v: list(v)],
+    "elitist.fitness": [-0.1, 7, 1.0000001, NAN, INF, None, True, "0.5"],
+    "elitist.complexity": [None, True, "1", lambda v: v + 1, lambda v: v - 1, lambda v: float(v)],
+    "elitist.mse": [-1, -1e-300, NAN, INF, None, False, "0.5"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_bad_value_in_any_transform_or_elitist_field_fails_closed(trained, tmp_path_factory, data):
+    """A model file with one bad value in a transform or elitist field (of
+    the wrong type, non-finite, out of range, of the wrong length, at
+    odds with another field, or missing) fails to load with an error that
+    names section.field, and `rulemix predict` exits with the data error
+    code."""
+    model, _ = trained
+    doc = model_document(model)
+    name = data.draw(st.sampled_from(sorted(BAD_FIELDS)), label="field")
+    section, key = name.split(".")
+    bad = data.draw(st.sampled_from(["missing", *BAD_FIELDS[name]]), label="value")
+    if bad == "missing":
+        del doc[section][key]
+    else:
+        doc[section][key] = bad(doc[section][key]) if callable(bad) else bad
+    directory = tmp_path_factory.mktemp("bad-field")
+    path = directory / "model.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    with pytest.raises(ModelFormatError, match=re.escape(name)):
+        load_model(path)
+    features = directory / "query.csv"
+    features.write_text("f0,f1\n0.5,1.0\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["predict", str(path), str(features)]) == EXIT_DATA
+    assert name in stderr.getvalue()
+
+
 @st.composite
 def finite_data_of_any_magnitude(draw):
     """A small regression set whose features and target are each scaled

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rulemix import WilcoxonResult, wilcoxon_signed_rank
 from rulemix.errors import DegenerateTestError
-from rulemix.stats import EXACT_MAX_N
+from rulemix.stats import EXACT_MAX_N, _average_ranks
 
 
 def brute_force_p(a, b):
@@ -127,7 +130,7 @@ class TestNormalBranch:
         a = gen.normal(size=EXACT_MAX_N)
         b = a + 0.2 + gen.normal(scale=0.8, size=EXACT_MAX_N)
         exact = wilcoxon_signed_rank(a, b)
-        from rulemix.stats import _average_ranks, _normal_two_sided_p
+        from rulemix.stats import _normal_two_sided_p
 
         d = a - b
         d = d[d != 0]
@@ -179,3 +182,14 @@ class TestInterface:
         r2 = wilcoxon_signed_rank(b, a)
         assert r1.statistic == r2.statistic
         assert r1.p_value == r2.p_value
+
+
+# a few distinct magnitudes, so that most draws hold ties
+TIED = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.0, 1e300, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 60), elements=TIED))
+def test_average_ranks_equal_scipy_rankdata(values):
+    """Ties share the mean of their positions, as rankdata(method="average") gives them, bit for bit."""
+    assert _average_ranks(values).tobytes() == scipy.stats.rankdata(values, method="average").tobytes()
