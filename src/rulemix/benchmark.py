@@ -98,15 +98,14 @@ def _execute_run(
     )
 
 
-def _execute_task(task) -> tuple[tuple[str, int, int], RunRecord | None, str | None]:
+def _execute_task(task) -> tuple[str, RunRecord | None, str | None]:
     dataset_name, X, y, seed_index, split_index, config, benchmark_seed, test_fraction = task
-    key = (dataset_name, seed_index, split_index)
     try:
-        return key, _execute_run(dataset_name, X, y, seed_index, split_index, config, benchmark_seed, test_fraction), None
+        return dataset_name, _execute_run(dataset_name, X, y, seed_index, split_index, config, benchmark_seed, test_fraction), None
     except Exception as exc:
         # bad data (DataError) or a runtime fault in one run fails its
         # dataset, not the whole benchmark
-        return key, None, str(exc) or type(exc).__name__
+        return dataset_name, None, str(exc) or type(exc).__name__
 
 
 def run_benchmark(
@@ -123,12 +122,11 @@ def run_benchmark(
     An error in any run of a dataset, bad data or a runtime fault, fails
     that whole dataset (recorded in failures) while the remaining
     datasets still run. Records come back sorted by
-    (dataset order, seed index, split index) regardless of jobs.
+    (dataset order, seed index, split index) regardless of jobs; an
+    empty list of datasets gives an empty report.
     """
     if config is None:
         config = LearnerConfig()
-    if not datasets:
-        raise ValueError("datasets must be non-empty")
     if n_seeds < 1 or n_splits < 1:
         raise ValueError(f"n_seeds and n_splits must be positive, got {n_seeds}, {n_splits}")
     if not 0.0 < test_fraction < 1.0:
@@ -147,30 +145,19 @@ def run_benchmark(
             for split_index in range(n_splits):
                 tasks.append((dataset.name, X, y, seed_index, split_index, config, master_seed, test_fraction))
 
-    outcomes: dict[tuple[str, int, int], RunRecord] = {}
+    records: list[RunRecord] = []
     failures: dict[str, str] = {}
     if jobs == 1:
         results = map(_execute_task, tasks)
     else:
-        executor = ProcessPoolExecutor(max_workers=jobs)
-        try:
+        with ProcessPoolExecutor(max_workers=jobs) as executor:
             results = list(executor.map(_execute_task, tasks, chunksize=1))
-        finally:
-            executor.shutdown()
-    for key, record, error in results:
+    # both maps keep the order of the tasks: dataset, seed index, split index
+    for name, record, error in results:
         if error is not None:
-            failures.setdefault(key[0], error)
-        elif record is not None:
-            outcomes[key] = record
-
-    records = [
-        outcomes[(name, seed_index, split_index)]
-        for name in names
-        if name not in failures
-        for seed_index in range(n_seeds)
-        for split_index in range(n_splits)
-        if (name, seed_index, split_index) in outcomes
-    ]
+            failures.setdefault(name, error)
+        else:
+            records.append(record)
     return BenchmarkReport(
         master_seed=master_seed,
         n_seeds=n_seeds,
@@ -178,7 +165,7 @@ def run_benchmark(
         test_fraction=test_fraction,
         config=config,
         dataset_names=names,
-        records=records,
+        records=[record for record in records if record.dataset not in failures],
         failures=failures,
     )
 

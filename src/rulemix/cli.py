@@ -12,18 +12,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .benchmark import BenchmarkReport, format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
+from .benchmark import format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
 from .data import Dataset, _atomic_open, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
 from .describe import describe_model, describe_rule
 from .errors import (
     NON_EMPTY_OBJECT, NON_NEGATIVE, OPEN_FRACTION, OPTIONAL_STRING, POSITIVE_INT, SAMPLE_COUNT, SEED, STRING, ConfigError, DataError,
     ModelFormatError, _read, check, check_settings, setting
 )
-from .learner import LearnerConfig, _section_from_dict, config_from_dict, config_to_dict, fit
+from .learner import LearnerConfig, config_from_dict, config_to_dict, fit
 from .persistence import load_model, model_document, save_model
 
 EXIT_OK = 0
@@ -57,60 +57,59 @@ def _flatten(tree: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 
 def _config_help() -> str:
-    lines = [
-        "configuration keys, settable in a JSON --config file or with --set key=value:",
-    ]
-    for key, default in _flatten(config_to_dict(LearnerConfig())):
-        lines.append(f"  {key:<34} default {json.dumps(default)}")
-    lines.append("")
-    lines.append("benchmark-only keys (--set benchmark.<key>=value):")
-    for field in fields(BenchmarkSettings):
-        lines.append(f"  benchmark.{field.name:<24} default {json.dumps(field.default)}")
-    return "\n".join(lines)
+    lines = []
+    for title, tree in (
+        ("configuration keys, settable in a JSON --config file or with --set key=value:", config_to_dict(LearnerConfig())),
+        ("benchmark-only keys (--set benchmark.<key>=value):", {"benchmark": config_to_dict(BenchmarkSettings())}),
+    ):
+        lines += ["", title] + [f"  {key:<34} default {json.dumps(default)}" for key, default in _flatten(tree)]
+    return "\n".join(lines[1:])
 
 
-def _parse_set(assignment: str) -> tuple[list[str], object]:
+def _read_json(path: str, what: str):
+    """The JSON document of a config or registry file; a file that cannot
+    be read or parsed is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+
+
+def _apply_set(tree: dict, assignment: str) -> None:
+    """Set the key of one --set key=value in the config tree; a value that
+    does not parse as JSON is kept as a string."""
     key, sep, raw = assignment.partition("=")
     key = key.strip()
     if not sep or not key:
         raise ConfigError(f"--set needs key=value, got {assignment!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         value = raw
-    return key.split("."), value
-
-
-def _apply_set(tree: dict, parts: list[str], value: object, assignment: str) -> None:
+    *sections, name = key.split(".")
     node = tree
-    for part in parts[:-1]:
+    for part in sections:
         node = node.setdefault(part, {})
         if not isinstance(node, dict):
             raise ConfigError(f"--set {assignment!r} descends into non-section key {part!r}")
-    node[parts[-1]] = value
+    node[name] = value
 
 
 def _learner_config(args) -> tuple[LearnerConfig, BenchmarkSettings]:
     """The config of a run: JSON file first, then --set overrides, then
     --seed; the benchmark section is split off so the learner schema
     stays strict."""
-    tree: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                tree = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"{args.config}: not valid JSON ({exc})") from exc
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(tree, dict):
-            raise ConfigError(f"{args.config}: config must be a JSON object")
-    for assignment in getattr(args, "set", None) or []:
-        parts, value = _parse_set(assignment)
-        _apply_set(tree, parts, value, assignment)
-    settings = _section_from_dict(BenchmarkSettings, "benchmark", tree.pop("benchmark", {}), BenchmarkSettings())
+    tree = _read_json(args.config, "config") if args.config else {}
+    if not isinstance(tree, dict):
+        raise ConfigError(f"{args.config}: config must be a JSON object")
+    for assignment in args.set or []:
+        _apply_set(tree, assignment)
+    settings = config_from_dict(tree.pop("benchmark", {}), BenchmarkSettings(), "benchmark")
     config = config_from_dict(tree)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = replace(config, master_seed=args.seed)
     return config, settings
 
@@ -172,12 +171,7 @@ def _load_registry(path: str) -> list[dict]:
     """Parse a dataset registry: {"datasets": {name: entry}}, in order. An
     entry is an object with a string "path" and an optional
     "target_column", null or a string; any other entry is the path."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    check(path, doc, _REGISTRY)
+    doc = check(path, _read_json(path, "registry"), _REGISTRY)
     entries = []
     for name, entry in _read(doc, "datasets", NON_EMPTY_OBJECT, ConfigError, f"{path}: ").items():
         where = f"{path}: datasets.{name}"
@@ -200,29 +194,16 @@ def cmd_benchmark(args) -> int:
         except (ValueError, OSError) as exc:  # a DataError, or open() refusing a path with a NUL byte
             failures[entry["name"]] = str(exc)
 
-    master_seed = args.seed if args.seed is not None else 0
     started = time.perf_counter()
-    if datasets:
-        report = run_benchmark(
-            datasets,
-            config,
-            n_seeds=settings.n_seeds,
-            n_splits=settings.n_splits,
-            test_fraction=settings.test_fraction,
-            master_seed=master_seed,
-            jobs=args.jobs,
-        )
-    else:
-        # every dataset failed to load; report that instead of crashing
-        report = BenchmarkReport(
-            master_seed=master_seed,
-            n_seeds=settings.n_seeds,
-            n_splits=settings.n_splits,
-            test_fraction=settings.test_fraction,
-            config=config,
-            dataset_names=[],
-            records=[],
-        )
+    report = run_benchmark(
+        datasets,
+        config,
+        n_seeds=settings.n_seeds,
+        n_splits=settings.n_splits,
+        test_fraction=settings.test_fraction,
+        master_seed=args.seed or 0,
+        jobs=args.jobs,
+    )
     elapsed = time.perf_counter() - started
     report.dataset_names = [entry["name"] for entry in entries]
     report.failures = {**failures, **report.failures}

@@ -53,38 +53,32 @@ def config_to_dict(config) -> dict:
     }
 
 
-def _section_from_dict(cls, section_name: str, values: dict, base):
-    """base with the settings of one config section replaced; a setting
-    may be named by its key or by its field."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{section_name} must be a mapping, got {type(values).__name__}")
-    names = {setting_key(f): f.name for f in fields(cls)}
-    values = {names.get(key, key): value for key, value in values.items()}
-    unknown = sorted(values.keys() - cls.__dataclass_fields__.keys())
+def config_from_dict(doc: dict, base=LearnerConfig(), name: str = "config"):
+    """base, any config dataclass, with the settings doc gives replaced,
+    and each section (a field that holds a config dataclass) read the same
+    way from a nested mapping. A setting is named by its key or its field
+    name, not both; an unknown key raises ConfigError. name names the
+    section in messages, but for the root config's own settings."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a mapping, got {type(doc).__name__}")
+    prefix = "" if name == "config" else f"{name}."
+    values, known = {}, set()
+    for f in fields(base):
+        key = setting_key(f)
+        given = sorted({key, f.name} & doc.keys())
+        known |= {key, f.name}
+        if len(given) > 1:
+            raise ConfigError(f"{prefix}{key} is set twice, as {given[0]!r} and as {given[1]!r}")
+        if given:
+            section = getattr(base, f.name)
+            values[f.name] = config_from_dict(doc[given[0]], section, key) if is_dataclass(section) else doc[given[0]]
+    unknown = sorted(doc.keys() - known)
     if unknown:
-        raise ConfigError(f"unknown {section_name} key {unknown[0]!r}")
+        raise ConfigError(f"unknown {name} key {unknown[0]!r}")
     try:
         return replace(base, **values)
     except ConfigError as exc:
-        raise ConfigError(f"{section_name}.{exc}") from None
-
-
-def config_from_dict(doc: dict, base: LearnerConfig = LearnerConfig()) -> LearnerConfig:
-    """Build a LearnerConfig from nested dicts, overriding base defaults.
-
-    Keys may be given partially; unknown keys raise ConfigError.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a mapping, got {type(doc).__name__}")
-    doc = dict(doc)
-    for name in ("es", "ga", "rule_fitness", "solution_fitness"):
-        if name in doc:
-            section = getattr(base, name)
-            doc[name] = _section_from_dict(type(section), name, doc[name], section)
-    unknown = sorted(doc.keys() - LearnerConfig.__dataclass_fields__.keys())
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    return replace(base, **doc)
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 @dataclass

@@ -173,9 +173,13 @@ class TestRunBenchmark:
         assert [r.dataset for r in report.records] == ["alpha", "alpha"]
         assert report.dataset_names == ["broken", "alpha"]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_datasets_give_an_empty_report(self, jobs):
+        report = run_benchmark([], config=small_config(), n_seeds=2, n_splits=3, master_seed=4, jobs=jobs)
+        assert (report.dataset_names, report.records, report.failures) == ([], [], {})
+        assert (report.master_seed, report.n_seeds, report.n_splits, report.config) == (4, 2, 3, small_config())
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            run_benchmark([], config=small_config())
         with pytest.raises(ValueError):
             run_benchmark(tiny_datasets(), config=small_config(), n_seeds=0)
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import rulemix.benchmark
 import rulemix.cli
 from rulemix import LearnerConfig, load_model, write_csv
+from rulemix.benchmark import RECORD_FIELDS
 from rulemix.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, BenchmarkSettings, main
 from rulemix.learner import config_to_dict
 
@@ -568,10 +569,31 @@ class TestBenchmark:
         assert [r["dataset"] for r in report["records"]] == ["two"] * 4
 
     def test_all_datasets_failing_is_data_error(self, tmp_path, capsys):
+        """Datasets that all fail to load still give the three report
+        files: every dataset in registry order, each with its failure,
+        and no records."""
         registry = tmp_path / "registry.json"
-        registry.write_text(json.dumps({"datasets": {"gone": str(tmp_path / "gone.csv")}}))
+        paths = {name: str(tmp_path / f"{name}.csv") for name in ("zeta", "alpha")}
+        registry.write_text(json.dumps({"datasets": paths}))
         out = tmp_path / "bench"
         assert main(self.benchmark_args(registry, out)) == EXIT_DATA
+        assert capsys.readouterr().err == "error: no dataset produced any run\n"
+        report = json.loads((out / "report.json").read_text())
+        failures = {name: f"[Errno 2] No such file or directory: {path!r}" for name, path in paths.items()}
+        assert report["failures"] == failures
+        assert (report["datasets"], report["records"], report["summaries"], report["baseline_tests"]) == (["zeta", "alpha"], [], {}, [])
+        assert (out / "records.csv").read_text() == ",".join(RECORD_FIELDS) + "\n"
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert lines[2:] == [f"{name:<24} FAILED: {failures[name]}" for name in ("zeta", "alpha")]
+
+    def test_an_unreadable_registry_is_config_error(self, tmp_path, capsys):
+        """A registry file that is missing or is a directory exits 2 and
+        names the file, as a config file does."""
+        for path in (tmp_path / "missing.json", tmp_path):
+            assert main(["benchmark", str(path), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot read registry file: [Errno ") and f"{str(path)!r}" in err, err
+        assert not (tmp_path / "b").exists()
 
     def test_bad_registry_is_config_error(self, tmp_path):
         registry = tmp_path / "registry.json"
@@ -748,6 +770,8 @@ def probe(command, *args, expected, **files):
 @probe("fit", "--set", "ga.init_density=true", train_csv=VALID, expected=EXIT_CONFIG).via("init_density true")
 @probe("fit", "--set", "rule_fitness.alpha=1e400", train_csv=VALID, expected=EXIT_CONFIG).via("rule alpha inf")
 @probe("fit", "--set", "solution_fitness.alpha=1e400", train_csv=VALID, expected=EXIT_CONFIG).via("solution alpha inf")
+@probe("fit", "--set", "es.lambda=3", "--set", "es.lambda_=4", train_csv=VALID, expected=EXIT_CONFIG).via("lambda set twice")
+@probe("fit", "--set", "n_iter=" + "[" * 100_000, train_csv=VALID, expected=EXIT_CONFIG).via("--set value nested too deep")
 @probe("benchmark", "--set", "benchmark.test_fraction=true", train_csv=VALID, registry_json=VALID, expected=EXIT_CONFIG).via(
     "test_fraction true"
 )

@@ -19,11 +19,14 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "digests.sha256"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_digests(*args: str) -> str:
+def run_digests(*args: str, **env: str) -> str:
+    """The manifest scripts/digests.py prints for args, run with env
+    added to this process's environment."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "digests.py"), *args], env=env, capture_output=True, text=True, timeout=300
     )
@@ -54,6 +57,14 @@ def test_tiny_fit_gives_the_same_manifest_twice():
     assert digests["tiny/predict_c"] == digests["tiny/predict_f"]
     for file in ("report.json", "records.csv"):
         assert digests[f"benchmark/jobs1/{file}"] == digests[f"benchmark/jobs2/{file}"]
+
+
+def test_tiny_fit_gives_the_same_manifest_on_one_and_two_blas_threads():
+    """The determinism contract holds at any BLAS thread count. The
+    variables are set, not left to digests.py, which only fills in those
+    that are unset."""
+    one, two = (run_digests("--fit", "tiny", **dict.fromkeys(BLAS_THREAD_VARIABLES, n)) for n in ("1", "2"))
+    assert one == two
 
 
 def build_header() -> list[str]:

@@ -120,6 +120,13 @@ class TestConfigDict:
             config_from_dict({"madeup": 1})
         assert "madeup" in str(err.value)
 
+    @pytest.mark.parametrize("doc", [{"es": {"lambda": 3, "lambda_": 4}}, {"es": {"lambda_": 4, "lambda": 3}}])
+    def test_a_setting_named_twice_is_refused(self, doc):
+        """A setting given by its key and by its field name is an error
+        naming the key users write, whichever comes first."""
+        with pytest.raises(ConfigError, match=r"^es\.lambda is set twice, as 'lambda' and as 'lambda_'$"):
+            config_from_dict(doc)
+
     def test_invalid_values_still_validated(self):
         with pytest.raises(ConfigError):
             config_from_dict({"es": {"lambda": 0}})

@@ -35,3 +35,15 @@ def unused_imports(path: pathlib.Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     package = pathlib.Path(rulemix.__file__).parent
     assert [entry for path in sorted(package.glob("*.py")) for entry in unused_imports(path)] == []
+
+
+def asserts(path: pathlib.Path) -> list[str]:
+    """The assert statements of a module, which python -O strips."""
+    return [f"{path.stem} (line {node.lineno})" for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_checks_with_assert():
+    """A check in the package, such as that the best fitness never falls,
+    must hold under python -O too, so it cannot be an assert."""
+    package = pathlib.Path(rulemix.__file__).parent
+    assert [entry for path in sorted(package.glob("*.py")) for entry in asserts(path)] == []
