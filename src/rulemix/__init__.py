@@ -10,6 +10,7 @@ rule's experience and in-sample error.
 
 from .benchmark import (
     BenchmarkReport,
+    BenchmarkSettings,
     RunRecord,
     baseline_tests,
     compare_records,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkReport",
+    "BenchmarkSettings",
     "ConfigError",
     "DataError",
     "Dataset",

@@ -1,10 +1,10 @@
 """Benchmark harness: repeated train/test runs over named datasets.
 
-Every run gets its own derived seeds for the split and for the learner,
-so a benchmark produces identical records no matter how many worker
-processes execute it. Wall-clock timings are kept on the records for
-display but stay out of the machine-readable report, which must be
-reproducible byte for byte.
+Every run gets its own seeds for the split and for the learner, derived
+from the config's master_seed, so a benchmark produces identical
+records no matter how many worker processes execute it. Wall-clock
+timings are kept on the records for display but stay out of the
+machine-readable report, which must be reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -18,11 +18,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, _atomic_open, monte_carlo_split
-from .errors import DegenerateTestError
+from .errors import OPEN_FRACTION, POSITIVE_INT, DegenerateTestError, check_settings, setting
 from .learner import LearnerConfig, config_to_dict, fit
 from .persistence import _write_json
 from .rng import derive_seed
 from .stats import wilcoxon_signed_rank
+
+
+@dataclass(frozen=True)
+class BenchmarkSettings:
+    """The benchmark-only keys, set under benchmark. in the config."""
+    n_seeds: int = setting(8, POSITIVE_INT)
+    n_splits: int = setting(8, POSITIVE_INT)
+    test_fraction: float = setting(0.25, OPEN_FRACTION)
+    __post_init__ = check_settings
 
 
 @dataclass(frozen=True)
@@ -52,11 +61,12 @@ RECORD_FIELDS = ("dataset", "seed_index", "split_index", "mse_sigma", "mse_origi
 
 @dataclass
 class BenchmarkReport:
-    master_seed: int
-    n_seeds: int
-    n_splits: int
-    test_fraction: float
+    """The records of a benchmark and what produced them: the learner
+    config, whose master_seed every run's seeds derive from, and the
+    settings of the seeds x splits grid."""
+
     config: LearnerConfig
+    settings: BenchmarkSettings
     dataset_names: list[str]
     records: list[RunRecord]
     failures: dict[str, str] = field(default_factory=dict)
@@ -69,12 +79,11 @@ def _execute_run(
     seed_index: int,
     split_index: int,
     base_config: LearnerConfig,
-    benchmark_seed: int,
     test_fraction: float,
 ) -> RunRecord:
-    split_seed = derive_seed(benchmark_seed, "split", dataset_name, split_index)
+    split_seed = derive_seed(base_config.master_seed, "split", dataset_name, split_index)
     train_idx, test_idx = monte_carlo_split(y.shape[0], test_fraction, split_seed)
-    learner_seed = derive_seed(benchmark_seed, "learner", dataset_name, seed_index, split_index)
+    learner_seed = derive_seed(base_config.master_seed, "learner", dataset_name, seed_index, split_index)
     config = replace(base_config, master_seed=learner_seed)
 
     started = time.perf_counter()
@@ -99,9 +108,9 @@ def _execute_run(
 
 
 def _execute_task(task) -> tuple[str, RunRecord | None, str | None]:
-    dataset_name, X, y, seed_index, split_index, config, benchmark_seed, test_fraction = task
+    dataset_name, X, y, seed_index, split_index, config, test_fraction = task
     try:
-        return dataset_name, _execute_run(dataset_name, X, y, seed_index, split_index, config, benchmark_seed, test_fraction), None
+        return dataset_name, _execute_run(dataset_name, X, y, seed_index, split_index, config, test_fraction), None
     except Exception as exc:
         # bad data (DataError) or a runtime fault in one run fails its
         # dataset, not the whole benchmark
@@ -111,26 +120,21 @@ def _execute_task(task) -> tuple[str, RunRecord | None, str | None]:
 def run_benchmark(
     datasets: list[Dataset],
     config: LearnerConfig | None = None,
-    n_seeds: int = 8,
-    n_splits: int = 8,
-    test_fraction: float = 0.25,
-    master_seed: int = 0,
+    settings: BenchmarkSettings = BenchmarkSettings(),
     jobs: int = 1,
 ) -> BenchmarkReport:
-    """Train and score every dataset n_seeds * n_splits times.
+    """Train and score every dataset settings.n_seeds * settings.n_splits
+    times, in jobs worker processes (in this one when jobs is 1).
 
-    An error in any run of a dataset, bad data or a runtime fault, fails
-    that whole dataset (recorded in failures) while the remaining
-    datasets still run. Records come back sorted by
-    (dataset order, seed index, split index) regardless of jobs; an
-    empty list of datasets gives an empty report.
+    Every split and learner seed derives from config.master_seed; a
+    config of None is the default LearnerConfig. An error in any run of
+    a dataset, bad data or a runtime fault, fails that whole dataset
+    (recorded in failures) while the remaining datasets still run.
+    Records come back sorted by (dataset order, seed index, split index)
+    regardless of jobs; an empty list of datasets gives an empty report.
     """
     if config is None:
         config = LearnerConfig()
-    if n_seeds < 1 or n_splits < 1:
-        raise ValueError(f"n_seeds and n_splits must be positive, got {n_seeds}, {n_splits}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie strictly between 0 and 1, got {test_fraction}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     names = [dataset.name for dataset in datasets]
@@ -141,9 +145,9 @@ def run_benchmark(
     for dataset in datasets:
         X = np.asarray(dataset.X, dtype=float)
         y = np.asarray(dataset.y, dtype=float)
-        for seed_index in range(n_seeds):
-            for split_index in range(n_splits):
-                tasks.append((dataset.name, X, y, seed_index, split_index, config, master_seed, test_fraction))
+        for seed_index in range(settings.n_seeds):
+            for split_index in range(settings.n_splits):
+                tasks.append((dataset.name, X, y, seed_index, split_index, config, settings.test_fraction))
 
     records: list[RunRecord] = []
     failures: dict[str, str] = {}
@@ -159,11 +163,8 @@ def run_benchmark(
         else:
             records.append(record)
     return BenchmarkReport(
-        master_seed=master_seed,
-        n_seeds=n_seeds,
-        n_splits=n_splits,
-        test_fraction=test_fraction,
         config=config,
+        settings=settings,
         dataset_names=names,
         records=[record for record in records if record.dataset not in failures],
         failures=failures,
@@ -243,14 +244,12 @@ def compare_records(records_a: list[RunRecord], records_b: list[RunRecord]) -> l
 def report_document(report: BenchmarkReport) -> dict:
     """The machine-readable benchmark report.
 
-    Deterministic for a given (datasets, config, seeds) input: contains
-    no timings, hostnames, or dates.
+    Deterministic for a given (datasets, config, settings) input:
+    contains no timings, hostnames, or dates.
     """
     return {
-        "master_seed": report.master_seed,
-        "n_seeds": report.n_seeds,
-        "n_splits": report.n_splits,
-        "test_fraction": report.test_fraction,
+        "master_seed": report.config.master_seed,
+        **config_to_dict(report.settings),
         "config": config_to_dict(report.config),
         "datasets": list(report.dataset_names),
         "records": [{name: getattr(r, name) for name in RECORD_FIELDS} for r in report.records],

@@ -12,16 +12,18 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .benchmark import format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
+from .benchmark import (
+    BenchmarkSettings, format_summary_text, report_document, run_benchmark, write_records_csv, write_report_json
+)
 from .data import Dataset, _atomic_open, gen_piecewise_linear, load_csv, read_numeric_csv, write_csv
 from .describe import describe_model, describe_rule
 from .errors import (
-    NON_EMPTY_OBJECT, NON_NEGATIVE, OPEN_FRACTION, OPTIONAL_STRING, POSITIVE_INT, SAMPLE_COUNT, SEED, STRING, ConfigError, DataError,
-    ModelFormatError, _read, check, check_settings, setting
+    NON_EMPTY_OBJECT, NON_NEGATIVE, OPTIONAL_STRING, POSITIVE_INT, SAMPLE_COUNT, SEED, STRING, ConfigError, DataError,
+    ModelFormatError, _read, check, unique_keys
 )
 from .learner import LearnerConfig, config_from_dict, config_to_dict, fit
 from .persistence import load_model, model_document, save_model
@@ -34,15 +36,6 @@ EXIT_PARTIAL = 3
 _REGISTRY = ('an object whose one key is "datasets"', lambda v: isinstance(v, dict) and v.keys() == {"datasets"})
 _ENTRY_KINDS = {"path": STRING, "target_column": OPTIONAL_STRING}
 _DATASET = ('an object of "path" and an optional "target_column"', lambda v: v.keys() <= _ENTRY_KINDS.keys())
-
-
-@dataclass(frozen=True)
-class BenchmarkSettings:
-    """The benchmark-only keys, set under benchmark. in the config."""
-    n_seeds: int = setting(8, POSITIVE_INT)
-    n_splits: int = setting(8, POSITIVE_INT)
-    test_fraction: float = setting(0.25, OPEN_FRACTION)
-    __post_init__ = check_settings
 
 
 def _flatten(tree: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -71,7 +64,7 @@ def _read_json(path: str, what: str):
     be read or parsed is a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     except OSError as exc:
@@ -195,15 +188,7 @@ def cmd_benchmark(args) -> int:
             failures[entry["name"]] = str(exc)
 
     started = time.perf_counter()
-    report = run_benchmark(
-        datasets,
-        config,
-        n_seeds=settings.n_seeds,
-        n_splits=settings.n_splits,
-        test_fraction=settings.test_fraction,
-        master_seed=args.seed or 0,
-        jobs=args.jobs,
-    )
+    report = run_benchmark(datasets, config, settings, jobs=args.jobs)
     elapsed = time.perf_counter() - started
     report.dataset_names = [entry["name"] for entry in entries]
     report.failures = {**failures, **report.failures}

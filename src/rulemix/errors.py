@@ -102,6 +102,17 @@ def _read(doc: dict, key: str, kind, error, where: str = ""):
     return check(where + key, doc.get(key), kind, error)
 
 
+def unique_keys(pairs: list) -> dict:
+    """The dict of one JSON object's key-value pairs, as json's
+    object_pairs_hook; a key named twice raises ValueError, where json
+    alone would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"key {next(key for key in keys if keys.count(key) > 1)!r} is named twice in one object")
+    return doc
+
+
 def check_settings(config) -> None:
     """Check each setting field of a config dataclass: its __post_init__."""
     for f in type(config).__dataclass_fields__.values():

@@ -18,7 +18,7 @@ from .composition import SolutionIndividual
 from .data import TransformState, _atomic_open
 from .errors import (
     FINITE, NON_EMPTY_LIST, NON_NEGATIVE, NUMBERS, OBJECT, POSITIVE, PROBABILITY, ConfigError, ModelFormatError, ModelVersionError,
-    _number, _numbers, _read, check
+    _number, _numbers, _read, check, unique_keys
 )
 from .learner import TrainedModel, config_from_dict, config_to_dict
 from .rules import COLUMNS, Pool, _readonly, _volume
@@ -158,7 +158,7 @@ def load_model(path) -> TrainedModel:
 
     with open(str(path)) as fh:
         try:
-            doc = json.load(fh, parse_constant=note_constant)
+            doc = json.load(fh, parse_constant=note_constant, object_pairs_hook=unique_keys)
         except (ValueError, RecursionError) as exc:
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not constants:

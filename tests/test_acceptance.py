@@ -14,6 +14,7 @@ import pytest
 import scipy.stats
 
 from rulemix import (
+    BenchmarkSettings,
     Dataset,
     LearnerConfig,
     combine,
@@ -38,7 +39,7 @@ def synthetic_benchmark():
     """Eight default-config runs on clean 3-segment piecewise data."""
     dataset = gen_piecewise_linear(1000, segments=3, noise_std=0.0, seed=0)
     started = time.perf_counter()
-    report = run_benchmark([dataset], n_seeds=8, n_splits=1, test_fraction=0.25, master_seed=0)
+    report = run_benchmark([dataset], LearnerConfig(master_seed=0), BenchmarkSettings(n_seeds=8, n_splits=1, test_fraction=0.25))
     elapsed = time.perf_counter() - started
     return dataset, report, elapsed
 
@@ -140,7 +141,7 @@ def test_criterion_06_pool_size_and_record_count():
 
     # default benchmark layout: 8 seeds x 8 splits = 64 records per dataset
     ds = Dataset(name="layout", X=X, y=y, feature_names=["x0"], target_name="y")
-    report = run_benchmark([ds], config=small_config(), n_seeds=8, n_splits=8, master_seed=0)
+    report = run_benchmark([ds], small_config(master_seed=0), BenchmarkSettings(n_seeds=8, n_splits=8))
     assert len(report.records) == 64
 
 
@@ -150,7 +151,7 @@ ccpp_path = os.environ.get("RULEMIX_CCPP", os.path.join(os.path.dirname(__file__
 @pytest.mark.skipif(not os.path.exists(ccpp_path), reason="combined-cycle plant CSV not present (see scripts/fetch_uci.py)")
 def test_criterion_07_desk_scale_power_plant():
     dataset = load_csv(ccpp_path, name="ccpp")
-    report = run_benchmark([dataset], n_seeds=2, n_splits=4, test_fraction=0.25, master_seed=0)
+    report = run_benchmark([dataset], LearnerConfig(master_seed=0), BenchmarkSettings(n_seeds=2, n_splits=4, test_fraction=0.25))
     assert len(report.records) == 8
     mean_mse = float(np.mean([r.mse_sigma for r in report.records]))
     mean_complexity = float(np.mean([r.complexity for r in report.records]))

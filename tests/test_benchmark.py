@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rulemix import (
+    BenchmarkSettings,
+    ConfigError,
     Dataset,
     ESConfig,
     GAConfig,
@@ -35,11 +37,8 @@ def tiny_datasets():
 
 def report_of(records, names=("d",)):
     return BenchmarkReport(
-        master_seed=0,
-        n_seeds=1,
-        n_splits=len(records),
-        test_fraction=0.25,
-        config=small_config(),
+        config=small_config(master_seed=0),
+        settings=BenchmarkSettings(n_seeds=1, n_splits=len(records)),
         dataset_names=list(names),
         records=list(records),
     )
@@ -60,14 +59,8 @@ def record(dataset="d", seed_index=0, split_index=0, mse_sigma=0.1, complexity=3
 
 @pytest.fixture(scope="module")
 def small_report():
-    return run_benchmark(
-        tiny_datasets(),
-        config=small_config(),
-        n_seeds=2,
-        n_splits=3,
-        test_fraction=0.25,
-        master_seed=5,
-    )
+    grid = BenchmarkSettings(n_seeds=2, n_splits=3, test_fraction=0.25)
+    return run_benchmark(tiny_datasets(), small_config(master_seed=5), grid)
 
 
 @st.composite
@@ -90,8 +83,9 @@ def benchmark_cases(draw):
             n_elitists=draw(st.integers(1, population - 1)),
         ),
         ridge_coeff=draw(st.sampled_from([0.0, 0.01])),
+        master_seed=draw(st.integers(0, 2**16)),
     )
-    grid = dict(n_seeds=draw(st.integers(1, 2)), n_splits=draw(st.integers(2, 3)), master_seed=draw(st.integers(0, 2**16)))
+    grid = BenchmarkSettings(n_seeds=draw(st.integers(1, 2)), n_splits=draw(st.integers(2, 3)))
     return datasets, config, grid
 
 
@@ -101,7 +95,7 @@ def test_report_files_do_not_depend_on_jobs(tmp_path_factory, case):
     datasets, config, grid = case
     written = []
     for jobs in (1, 2):
-        report = run_benchmark(datasets, config=config, jobs=jobs, **grid)
+        report = run_benchmark(datasets, config, grid, jobs=jobs)
         directory = tmp_path_factory.mktemp(f"jobs{jobs}")
         write_report_json(report, directory / "report.json")
         write_records_csv(report, directory / "records.csv")
@@ -125,18 +119,19 @@ class TestRunBenchmark:
         assert not report.failures
 
     def test_deterministic_across_calls(self, small_report):
-        again = run_benchmark(
-            tiny_datasets(), config=small_config(), n_seeds=2, n_splits=3, master_seed=5
-        )
+        again = run_benchmark(tiny_datasets(), small_config(master_seed=5), BenchmarkSettings(n_seeds=2, n_splits=3))
         for a, b in zip(small_report.records, again.records):
             assert a.mse_sigma == b.mse_sigma
             assert a.mse_original == b.mse_original
             assert a.complexity == b.complexity
 
+    def test_master_seed_changes_the_splits_and_the_fits(self, small_report):
+        other = run_benchmark(tiny_datasets(), small_config(master_seed=6), BenchmarkSettings(n_seeds=2, n_splits=3))
+        for name in ("mse_sigma", "baseline_mse_sigma"):
+            assert [getattr(r, name) for r in other.records] != [getattr(r, name) for r in small_report.records]
+
     def test_jobs_do_not_change_results(self, small_report):
-        parallel = run_benchmark(
-            tiny_datasets(), config=small_config(), n_seeds=2, n_splits=3, master_seed=5, jobs=2
-        )
+        parallel = run_benchmark(tiny_datasets(), small_config(master_seed=5), BenchmarkSettings(n_seeds=2, n_splits=3), jobs=2)
         for a, b in zip(small_report.records, parallel.records):
             assert a.dataset == b.dataset
             assert a.mse_sigma == b.mse_sigma
@@ -167,7 +162,7 @@ class TestRunBenchmark:
         bad_X = np.ones((30, 2))  # constant features cannot be scaled
         bad = Dataset(name="broken", X=bad_X, y=np.arange(30.0), feature_names=["a", "b"], target_name="y")
         good = tiny_datasets()[0]
-        report = run_benchmark([bad, good], config=small_config(), n_seeds=1, n_splits=2, master_seed=1)
+        report = run_benchmark([bad, good], small_config(master_seed=1), BenchmarkSettings(n_seeds=1, n_splits=2))
         assert "broken" in report.failures
         assert "constant" in report.failures["broken"]
         assert [r.dataset for r in report.records] == ["alpha", "alpha"]
@@ -175,22 +170,23 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_no_datasets_give_an_empty_report(self, jobs):
-        report = run_benchmark([], config=small_config(), n_seeds=2, n_splits=3, master_seed=4, jobs=jobs)
+        grid = BenchmarkSettings(n_seeds=2, n_splits=3)
+        report = run_benchmark([], small_config(master_seed=4), grid, jobs=jobs)
         assert (report.dataset_names, report.records, report.failures) == ([], [], {})
-        assert (report.master_seed, report.n_seeds, report.n_splits, report.config) == (4, 2, 3, small_config())
+        assert (report.config, report.settings) == (small_config(master_seed=4), grid)
 
     def test_validation(self):
+        with pytest.raises(ConfigError):
+            BenchmarkSettings(n_seeds=0)
         with pytest.raises(ValueError):
-            run_benchmark(tiny_datasets(), config=small_config(), n_seeds=0)
-        with pytest.raises(ValueError):
-            run_benchmark(tiny_datasets(), config=small_config(), jobs=0)
-        with pytest.raises(ValueError):
-            run_benchmark(tiny_datasets(), config=small_config(), test_fraction=0.0)
+            run_benchmark(tiny_datasets(), small_config(), jobs=0)
+        with pytest.raises(ConfigError):
+            BenchmarkSettings(test_fraction=0.0)
 
     def test_duplicate_dataset_names_rejected(self):
         ds = tiny_datasets()[0]
         with pytest.raises(ValueError):
-            run_benchmark([ds, ds], config=small_config())
+            run_benchmark([ds, ds], small_config())
 
 
 class TestSummaries:
@@ -330,7 +326,7 @@ class TestReportSerialization:
             feature_names=["a"],
             target_name="y",
         )
-        report = run_benchmark([bad], config=small_config(), n_seeds=1, n_splits=1)
+        report = run_benchmark([bad], small_config(master_seed=0), BenchmarkSettings(n_seeds=1, n_splits=1))
         doc = report_document(report)
         assert "broken" in doc["failures"]
         assert "broken" in format_summary_text(report)

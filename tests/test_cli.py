@@ -134,6 +134,16 @@ class TestFit:
         # --set wins over the file: 2 cycles x 2 rules
         assert doc["pool_size"] == 4
 
+    def test_config_file_naming_a_key_twice_is_config_error(self, tmp_path, capsys):
+        """json alone would let the last value win and train silently."""
+        data = tmp_path / "train.csv"
+        write_training_csv(data)
+        config = tmp_path / "config.json"
+        config.write_text('{"n_iter": 1, "es": {"delta": 2, "n_rules": 1, "delta": 3}}')
+        assert main(["fit", str(data), "--config", str(config), "--out", str(tmp_path / "model.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {config}: not valid JSON (key 'delta' is named twice in one object)\n"
+        assert not (tmp_path / "model.json").exists()
+
     @pytest.mark.parametrize(
         "target, feature, message",
         [
@@ -281,6 +291,14 @@ class TestPredict:
         write_feature_csv(features, np.array([[0.5, 1.0], [2.0, 3.0]]))
         assert main(["predict", str(model_path), str(features)]) == EXIT_DATA
         assert "NaN" in capsys.readouterr().err
+
+    def test_model_naming_a_key_twice_is_data_error(self, model_path, tmp_path, capsys):
+        text = model_path.read_text()
+        model_path.write_text(text.replace('"intercept": ', '"intercept": 0.0, "intercept": ', 1))
+        features = tmp_path / "query.csv"
+        write_feature_csv(features, np.array([[0.5, 1.0]]))
+        assert main(["predict", str(model_path), str(features)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {model_path}: not valid JSON (key 'intercept' is named twice in one object)\n"
 
     def test_model_with_mismatched_volume_is_data_error(self, model_path, tmp_path, capsys):
         doc = json.loads(model_path.read_text())
@@ -485,9 +503,9 @@ class TestBenchmark:
         registry.write_text(json.dumps({"datasets": paths}))
         return registry
 
-    def benchmark_args(self, registry, out):
+    def benchmark_args(self, registry, out, seed_flags=("--seed", "2")):
         return [
-            "benchmark", str(registry), "--out", str(out), "--seed", "2",
+            "benchmark", str(registry), "--out", str(out), *seed_flags,
             *SMALL_SET_FLAGS,
             "--set", "benchmark.n_seeds=2",
             "--set", "benchmark.n_splits=2",
@@ -504,6 +522,21 @@ class TestBenchmark:
         doc = json.loads((out / "report.json").read_text())
         assert len(doc["records"]) == 2 * 2 * 2
         assert doc["n_seeds"] == 2
+
+    def test_master_seed_setting_is_the_seed_flag(self, tmp_path, capsys):
+        """Every split and learner seed derives from master_seed, whether
+        --seed or --set names it, and report.json states the seed used."""
+        registry = self.registry_for(tmp_path)
+        written = {}
+        for label, flags in (("flag", ("--seed", "5")), ("set", ("--set", "master_seed=5")), ("default", ())):
+            out = tmp_path / label
+            assert main(self.benchmark_args(registry, out, flags)) == EXIT_OK
+            written[label] = [(out / name).read_bytes() for name in ("report.json", "records.csv")]
+        assert written["set"] == written["flag"]
+        assert all(a != b for a, b in zip(written["set"], written["default"]))
+        for label, seed in (("set", 5), ("default", 0)):
+            doc = json.loads(written[label][0])
+            assert doc["master_seed"] == doc["config"]["master_seed"] == seed
 
     def test_jobs_do_not_change_report_bytes(self, tmp_path, capsys):
         registry = self.registry_for(tmp_path)
@@ -593,6 +626,13 @@ class TestBenchmark:
             assert main(["benchmark", str(path), "--out", str(tmp_path / "b")]) == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.startswith("error: cannot read registry file: [Errno ") and f"{str(path)!r}" in err, err
+        assert not (tmp_path / "b").exists()
+
+    def test_registry_naming_a_dataset_twice_is_config_error(self, tmp_path, capsys):
+        registry = self.registry_for(tmp_path, names=("a",))
+        registry.write_text(registry.read_text().replace('{"a": ', '{"a": "other.csv", "a": '))
+        assert main(self.benchmark_args(registry, tmp_path / "b")) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {registry}: not valid JSON (key 'a' is named twice in one object)\n"
         assert not (tmp_path / "b").exists()
 
     def test_bad_registry_is_config_error(self, tmp_path):

@@ -27,7 +27,7 @@ from rulemix import (
     save_model,
     write_report_json,
 )
-from rulemix.benchmark import BenchmarkReport, RunRecord, write_records_csv
+from rulemix.benchmark import BenchmarkReport, BenchmarkSettings, RunRecord, write_records_csv
 from rulemix.cli import EXIT_DATA, main
 from rulemix.errors import DataError, ModelFormatError, ModelVersionError
 from rulemix.persistence import FORMAT_VERSION, RULE_KEYS, document_to_model
@@ -309,9 +309,8 @@ class TestAtomicWrites:
     def test_failed_write_keeps_the_previous_file(self, trained, tmp_path, monkeypatch, kind):
         model, _ = trained
         records = [RunRecord("d", seed, 0, 0.5, 1.5, 1.0, 3, 0.1) for seed in range(3)]
-        report = BenchmarkReport(
-            master_seed=0, n_seeds=3, n_splits=1, test_fraction=0.25, config=model.config, dataset_names=["d"], records=records
-        )
+        grid = BenchmarkSettings(n_seeds=3, n_splits=1)
+        report = BenchmarkReport(config=model.config, settings=grid, dataset_names=["d"], records=records)
         path = tmp_path / "out"
         write = {
             "model": lambda: save_model(model, path),
